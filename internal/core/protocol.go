@@ -12,7 +12,9 @@ import (
 // (a processor may simultaneously work for the root and one other inner
 // node, plus its own leaf). All payloads are O(log n)-bit values, matching
 // the paper's "were able to keep the length of messages as short as
-// O(log n) bits".
+// O(log n) bits". Payloads are sent as pointers carved from the sending
+// processor's arenas and never changed after the send, so a forwarded
+// message passes the same pointer on.
 const leafTarget = -1
 
 type (
@@ -63,6 +65,16 @@ func (handoffParentPayload) Kind() string { return "handoff-parent" }
 func (handoffChildPayload) Kind() string  { return "handoff-child" }
 func (newIDPayload) Kind() string         { return "new-id" }
 
+// arenas holds one sending processor's payload arenas.
+type arenas struct {
+	inc           counter.Arena[incPayload]
+	value         counter.Arena[valuePayload]
+	handoffJob    counter.Arena[handoffJobPayload]
+	handoffParent counter.Arena[handoffParentPayload]
+	handoffChild  counter.Arena[handoffChildPayload]
+	newID         counter.Arena[newIDPayload]
+}
+
 // node is the state of one inner node of the communication tree. The state
 // is owned by the node's current processor; the slice-of-structs layout is
 // an implementation convenience, not shared memory — every access happens in
@@ -109,6 +121,8 @@ type proto struct {
 	// each operation's delivered reply — shared with every other counter
 	// implementation via counter.Ops.
 	ops *counter.Ops[struct{}, any]
+	// mem holds each processor's payload arenas.
+	mem counter.PerProc[arenas]
 
 	stats  Stats
 	checks *checker // nil when invariant checking is off
@@ -141,6 +155,7 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 		leafParent: make([]sim.ProcID, g.n+1),
 		leafLoad:   make([]int64, g.n+1),
 		ops:        counter.NewOps[struct{}, any](),
+		mem:        counter.NewPerProc[arenas](g.n),
 		fwd:        make(map[fwdKey]sim.ProcID),
 	}
 	for i := 0; i <= k; i++ {
@@ -195,21 +210,21 @@ func (pr *proto) initiateReq(nw sim.Transport, p sim.ProcID, req any) {
 	}
 	target := pr.g.leafParentNode(p)
 	pr.leafLoad[p]++
-	nw.Send(pr.leafParent[p], incPayload{Target: target, Origin: p, Req: req})
+	nw.Send(pr.leafParent[p], pr.mem.Of(p).inc.New(incPayload{Target: target, Origin: p, Req: req}))
 }
 
 // Deliver implements sim.Protocol.
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case incPayload:
+	case *incPayload:
 		if !pr.ensureRole(nw, msg.To, pl.Target, pl) {
 			return
 		}
 		pr.handleInc(nw, pl)
-	case valuePayload:
+	case *valuePayload:
 		pr.leafLoad[msg.To]++
 		pr.ops.Finish(nw, msg.To, pl.Reply)
-	case newIDPayload:
+	case *newIDPayload:
 		if pl.Target == leafTarget {
 			pr.leafLoad[msg.To]++
 			pr.leafParent[msg.To] = pl.NewProc
@@ -219,7 +234,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 			return
 		}
 		pr.handleNewID(nw, pl)
-	case handoffJobPayload:
+	case *handoffJobPayload:
 		// State transfer is effected at retirement time (see retire); the
 		// job message carries the authoritative table so the successor can
 		// cross-check what it was handed. The check is skipped when the
@@ -230,7 +245,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 			panic(fmt.Sprintf("core: handoff job for node %d delivered to %v, current %v",
 				pl.Node, msg.To, nd.cur))
 		}
-	case handoffParentPayload, handoffChildPayload:
+	case *handoffParentPayload, *handoffChildPayload:
 		// Pure accounting: these reproduce the paper's k+2 handoff message
 		// count; their content duplicates what the job message carries.
 	default:
@@ -260,14 +275,16 @@ func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl si
 // handleInc processes "op from p" at a node: the root applies the request
 // to its state and answers the initiator directly; any other node forwards
 // to its parent. Either way the node's age grows by two (one receive, one
-// send) and the node retires if it has grown old.
-func (pr *proto) handleInc(nw sim.Transport, pl incPayload) {
+// send) and the node retires if it has grown old. It runs at the node's
+// current processor (ensureRole), which therefore sends.
+func (pr *proto) handleInc(nw sim.Transport, pl *incPayload) {
 	nd := &pr.nodes[pl.Target]
+	mem := pr.mem.Of(nd.cur)
 	if nd.level == 0 {
-		nw.Send(pl.Origin, valuePayload{Reply: pr.root.Apply(pl.Req)})
+		nw.Send(pl.Origin, mem.value.New(valuePayload{Reply: pr.root.Apply(pl.Req)}))
 	} else {
 		parent := pr.g.parent(nd.level, nd.pos)
-		nw.Send(nd.parentProc, incPayload{Target: parent, Origin: pl.Origin, Req: pl.Req})
+		nw.Send(nd.parentProc, mem.inc.New(incPayload{Target: parent, Origin: pl.Origin, Req: pl.Req}))
 	}
 	nd.age += 2
 	if pr.checks != nil {
@@ -280,7 +297,7 @@ func (pr *proto) handleInc(nw sim.Transport, pl incPayload) {
 // retirement; receiving the notification ages the node and may cascade its
 // own retirement (paper: "It may of course happen that this increment
 // triggers the retirement of parent and children nodes").
-func (pr *proto) handleNewID(nw sim.Transport, pl newIDPayload) {
+func (pr *proto) handleNewID(nw sim.Transport, pl *newIDPayload) {
 	nd := &pr.nodes[pl.Target]
 	switch {
 	case nd.level > 0 && pr.g.parent(nd.level, nd.pos) == pl.Changed:
@@ -334,11 +351,13 @@ func (pr *proto) maybeRetire(nw sim.Transport, id int) {
 // retire hands the node to the next processor of its pool: "To retire the
 // node updates its local values by setting age = 0 and id_new = id_old + 1;
 // it then sends k+2 final messages [to the successor] ... the other k+1
-// messages inform the node's parent and children about id_new."
+// messages inform the node's parent and children about id_new." It runs at
+// the retiring node's current processor, which sends every message.
 func (pr *proto) retire(nw sim.Transport, id int) {
 	nd := &pr.nodes[id]
 	old := nd.cur
 	succ := old + 1
+	mem := pr.mem.Of(old)
 	pr.stats.Retirements++
 	if pr.checks != nil {
 		pr.checks.retirement(id, nd.level, old, succ, nd.poolStart, nd.poolSize)
@@ -348,19 +367,19 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 	// is replaced by the state-carrying message ("It additionally informs
 	// the new processor of the counter value val and it saves the message
 	// that would inform the parent").
-	nw.Send(succ, handoffJobPayload{
+	nw.Send(succ, mem.handoffJob.New(handoffJobPayload{
 		Node:       id,
 		Retirement: nd.retired + 1,
 		ParentProc: nd.parentProc,
-	})
+	}))
 	if nd.level > 0 {
-		nw.Send(succ, handoffParentPayload{Node: id, ParentProc: nd.parentProc})
+		nw.Send(succ, mem.handoffParent.New(handoffParentPayload{Node: id, ParentProc: nd.parentProc}))
 	} else {
 		// Root: the state-carrying message keeps the k+2 count symmetric.
-		nw.Send(succ, handoffJobPayload{Node: id, Retirement: nd.retired + 1})
+		nw.Send(succ, mem.handoffJob.New(handoffJobPayload{Node: id, Retirement: nd.retired + 1}))
 	}
 	for c := 0; c < pr.g.k; c++ {
-		nw.Send(succ, handoffChildPayload{Node: id, Idx: c, ChildProc: nd.childProc[c]})
+		nw.Send(succ, mem.handoffChild.New(handoffChildPayload{Node: id, Idx: c, ChildProc: nd.childProc[c]}))
 	}
 
 	// State transfer: the node's current processor becomes the successor.
@@ -373,25 +392,25 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 
 	// k+1 notifications: parent (unless root) and children learn id_new.
 	if nd.level > 0 {
-		nw.Send(nd.parentProc, newIDPayload{
+		nw.Send(nd.parentProc, mem.newID.New(newIDPayload{
 			Target:  pr.g.parent(nd.level, nd.pos),
 			Changed: id,
 			NewProc: succ,
-		})
+		}))
 	}
 	for c := 0; c < pr.g.k; c++ {
 		if nd.level < pr.g.k {
-			nw.Send(nd.childProc[c], newIDPayload{
+			nw.Send(nd.childProc[c], mem.newID.New(newIDPayload{
 				Target:  pr.g.childNode(nd.level, nd.pos, c),
 				Changed: id,
 				NewProc: succ,
-			})
+			}))
 		} else {
-			nw.Send(nd.childProc[c], newIDPayload{
+			nw.Send(nd.childProc[c], mem.newID.New(newIDPayload{
 				Target:  leafTarget,
 				Changed: id,
 				NewProc: succ,
-			})
+			}))
 		}
 	}
 }
@@ -408,6 +427,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	cp.leafParent = append([]sim.ProcID(nil), pr.leafParent...)
 	cp.leafLoad = append([]int64(nil), pr.leafLoad...)
 	cp.ops = pr.ops.Clone(nil)
+	cp.mem = counter.NewPerProc[arenas](pr.g.n)
 	cp.fwd = make(map[fwdKey]sim.ProcID, len(pr.fwd))
 	for k, v := range pr.fwd {
 		cp.fwd[k] = v

@@ -37,42 +37,64 @@ import (
 // (the readout the concurrent experiments use). Take consumes the value so
 // long workload runs do not accumulate per-op state; the per-initiator slot
 // always keeps the most recent value.
+//
+// The table is dense: initiator p owns slot p of a slice, a record created
+// at p's first Begin and reused by every later operation of p, so opening
+// and finishing an operation allocates nothing. Only delivered values live
+// in a map keyed by operation id, because Take may come arbitrarily later
+// than Finish. Slots are stable pointers: the *S Begin hands out stays
+// valid while the slice grows to admit a higher initiator id.
 type Ops[S, V any] struct {
-	// mu guards the maps. On the simulator every access runs on one
-	// goroutine and the lock is uncontended; on the rt backend distinct
-	// initiators' operations live on distinct goroutines, and the table is
-	// the one piece of protocol state they all touch. The *S returned by
-	// Begin/Get stays confined to its own operation's delivery contexts, so
-	// locking the map operations suffices.
+	// mu guards the slot slice, the slots' bookkeeping fields and the
+	// value map. On the simulator every access runs on one goroutine and
+	// the lock is uncontended; on the rt backend distinct initiators'
+	// operations live on distinct goroutines, and the table is the one
+	// piece of protocol state they all touch. The *S returned by Begin/Get
+	// stays confined to its own operation's delivery contexts, so locking
+	// the table operations suffices.
 	mu sync.Mutex
-	// inflight holds each initiator's open operation; absent when idle.
-	inflight map[sim.ProcID]*opEntry[S]
+	// slots[p] is initiator p's record (nil until p's first Begin).
+	slots []*opSlot[S, V]
 	// values holds delivered values of completed operations until consumed.
 	values map[sim.OpID]V
-	// lastVal/lastOK expose the most recent value per initiator.
-	lastVal map[sim.ProcID]V
-	lastOK  map[sim.ProcID]bool
 	// droppedStale counts Finish calls discarded because their operation
 	// was no longer the initiator's current one (duplicated or late
 	// replies under fault injection).
 	droppedStale int64
 }
 
-// opEntry pairs an operation's protocol state with its simulator id, so
-// Finish can assert it completes in its own delivery context.
-type opEntry[S any] struct {
-	op sim.OpID
-	st S
+// opSlot is one initiator's record: its open operation's id and protocol
+// state, and the most recent value delivered to it.
+type opSlot[S, V any] struct {
+	// op is the in-flight operation, 0 when the initiator is idle (ids
+	// start at 1). Finish asserts it completes in its own delivery context.
+	op     sim.OpID
+	st     S
+	last   V
+	lastOK bool
 }
 
 // NewOps creates an empty operation table.
 func NewOps[S, V any]() *Ops[S, V] {
-	return &Ops[S, V]{
-		inflight: make(map[sim.ProcID]*opEntry[S]),
-		values:   make(map[sim.OpID]V),
-		lastVal:  make(map[sim.ProcID]V),
-		lastOK:   make(map[sim.ProcID]bool),
+	return &Ops[S, V]{values: make(map[sim.OpID]V)}
+}
+
+// slot returns initiator p's record, nil when p never began an operation.
+// The caller holds mu.
+func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S, V] {
+	if int(p) < len(o.slots) {
+		return o.slots[p]
 	}
+	return nil
+}
+
+// inFlight returns p's record when p has an operation open, else nil. The
+// caller holds mu.
+func (o *Ops[S, V]) inFlight(p sim.ProcID) *opSlot[S, V] {
+	if e := o.slot(p); e != nil && e.op != 0 {
+		return e
+	}
+	return nil
 }
 
 // Begin opens initiator p's operation and returns its zero-valued state for
@@ -89,12 +111,19 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if e, ok := o.inflight[p]; ok {
+	e := o.slot(p)
+	if e == nil {
+		if int(p) >= len(o.slots) {
+			o.slots = append(o.slots, make([]*opSlot[S, V], int(p)+1-len(o.slots))...)
+		}
+		e = new(opSlot[S, V])
+		o.slots[p] = e
+	}
+	if e.op != 0 {
 		panic(fmt.Sprintf("counter: initiator %v already has operation %d in flight (starting %d)", p, e.op, id))
 	}
-	e := &opEntry[S]{op: id}
-	o.inflight[p] = e
-	o.lastOK[p] = false
+	var zero S
+	e.op, e.st, e.lastOK = id, zero, false
 	return &e.st
 }
 
@@ -104,8 +133,8 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 func (o *Ops[S, V]) Get(p sim.ProcID) *S {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	e, ok := o.inflight[p]
-	if !ok {
+	e := o.inFlight(p)
+	if e == nil {
 		panic(fmt.Sprintf("counter: initiator %v has no operation in flight", p))
 	}
 	return &e.st
@@ -115,8 +144,7 @@ func (o *Ops[S, V]) Get(p sim.ProcID) *S {
 func (o *Ops[S, V]) InFlight(p sim.ProcID) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	_, ok := o.inflight[p]
-	return ok
+	return o.inFlight(p) != nil
 }
 
 // Finish completes initiator p's operation with the delivered value v,
@@ -131,15 +159,13 @@ func (o *Ops[S, V]) InFlight(p sim.ProcID) bool {
 func (o *Ops[S, V]) Finish(nw sim.Transport, p sim.ProcID, v V) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	e, ok := o.inflight[p]
-	if !ok || nw.CurrentOp() != e.op {
+	e := o.inFlight(p)
+	if e == nil || nw.CurrentOp() != e.op {
 		o.droppedStale++
 		return false
 	}
-	delete(o.inflight, p)
 	o.values[e.op] = v
-	o.lastVal[p] = v
-	o.lastOK[p] = true
+	e.op, e.last, e.lastOK = 0, v, true
 	return true
 }
 
@@ -152,8 +178,8 @@ func (o *Ops[S, V]) Finish(nw sim.Transport, p sim.ProcID, v V) bool {
 func (o *Ops[S, V]) GetFor(nw sim.Transport, p sim.ProcID) (*S, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	e, ok := o.inflight[p]
-	if !ok || nw.CurrentOp() != e.op {
+	e := o.inFlight(p)
+	if e == nil || nw.CurrentOp() != e.op {
 		o.droppedStale++
 		return nil, false
 	}
@@ -187,31 +213,35 @@ func (o *Ops[S, V]) Take(id sim.OpID) (V, bool) {
 func (o *Ops[S, V]) Last(p sim.ProcID) (V, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.lastVal[p], o.lastOK[p]
+	if e := o.slot(p); e != nil {
+		return e.last, e.lastOK
+	}
+	var zero V
+	return zero, false
 }
 
 // Clone returns an independent deep copy. deepState, when non-nil, deep-
-// copies one operation's protocol state (needed when S holds slices or
-// maps); nil keeps the shallow copy, sufficient for value-only states.
+// copies one in-flight operation's protocol state (needed when S holds
+// slices or maps); nil keeps the shallow copy, sufficient for value-only
+// states. An idle slot's state is dead — the next Begin zeroes it — so it
+// is copied shallowly either way.
 func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	cp := NewOps[S, V]()
-	for p, e := range o.inflight {
-		ne := &opEntry[S]{op: e.op, st: e.st}
-		if deepState != nil {
+	cp.slots = make([]*opSlot[S, V], len(o.slots))
+	for p, e := range o.slots {
+		if e == nil {
+			continue
+		}
+		ne := *e
+		if e.op != 0 && deepState != nil {
 			ne.st = deepState(&e.st)
 		}
-		cp.inflight[p] = ne
+		cp.slots[p] = &ne
 	}
 	for id, v := range o.values {
 		cp.values[id] = v
-	}
-	for p, v := range o.lastVal {
-		cp.lastVal[p] = v
-	}
-	for p, ok := range o.lastOK {
-		cp.lastOK[p] = ok
 	}
 	cp.droppedStale = o.droppedStale
 	return cp

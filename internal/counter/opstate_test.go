@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"sync"
 	"testing"
 
 	"distcount/internal/sim"
@@ -246,4 +247,75 @@ func (c *echoCounter) Guarantee() Guarantee            { return Exact(Linearizab
 func (c *echoCounter) OpValue(id sim.OpID) (int, bool) { return c.pr.ops.Take(id) }
 func (c *echoCounter) Start(at int64, p sim.ProcID) sim.OpID {
 	return c.net.ScheduleOp(at, p, c.pr.initiate)
+}
+
+// opCtx is a delivery context outside any network: the Transport methods
+// Ops uses reduce to CurrentOp.
+type opCtx struct {
+	sim.Transport
+	op sim.OpID
+}
+
+func (c opCtx) CurrentOp() sim.OpID { return c.op }
+
+// TestOpsConcurrentInitiators runs distinct initiators on distinct
+// goroutines, as the rt backend does, through Begin/GetFor/Finish plus a
+// stale reply and a duplicated completion per operation. Initiators start
+// in ascending id order, so the slot slice keeps growing while lower
+// initiators hold pointers into their own slots; run under -race.
+func TestOpsConcurrentInitiators(t *testing.T) {
+	const procs, rounds = 32, 200
+	ops := NewOps[int, int]()
+	opID := func(p sim.ProcID, r int) sim.OpID { return sim.OpID(int(p)*rounds + r + 1) }
+	var wg sync.WaitGroup
+	for p := sim.ProcID(1); p <= procs; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ctx := opCtx{op: opID(p, r)}
+				st := ops.Begin(ctx, p)
+				if *st != 0 {
+					t.Errorf("%v round %d: Begin state %d, want zero", p, r, *st)
+					return
+				}
+				*st = r + 1
+				if r > 0 {
+					if _, ok := ops.GetFor(opCtx{op: opID(p, r-1)}, p); ok {
+						t.Errorf("%v round %d: stale reply accepted", p, r)
+						return
+					}
+				}
+				if got, ok := ops.GetFor(ctx, p); !ok || got != st || *got != r+1 {
+					t.Errorf("%v round %d: GetFor = %v, %v; want Begin's state", p, r, got, ok)
+					return
+				}
+				if !ops.Finish(ctx, p, int(ctx.op)) {
+					t.Errorf("%v round %d: Finish rejected", p, r)
+					return
+				}
+				if ops.Finish(ctx, p, -1) {
+					t.Errorf("%v round %d: duplicated Finish applied", p, r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for p := sim.ProcID(1); p <= procs; p++ {
+		if v, ok := ops.Last(p); !ok || v != int(opID(p, rounds-1)) {
+			t.Errorf("Last(%v) = %d, %v; want %d", p, v, ok, opID(p, rounds-1))
+		}
+		if ops.InFlight(p) {
+			t.Errorf("%v still in flight", p)
+		}
+		for r := 0; r < rounds; r++ {
+			if v, ok := ops.Take(opID(p, r)); !ok || v != int(opID(p, r)) {
+				t.Fatalf("Take(%d) = %d, %v", opID(p, r), v, ok)
+			}
+		}
+	}
+	if got, want := ops.DroppedStale(), int64(procs*(2*rounds-1)); got != want {
+		t.Errorf("DroppedStale = %d, want %d", got, want)
+	}
 }

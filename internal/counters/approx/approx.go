@@ -40,7 +40,7 @@ import (
 	"distcount/internal/sim"
 )
 
-// payloads
+// payloads, sent as pointers carved from the sender's arenas
 type (
 	// syncReqPayload/syncValPayload are the exact bootstrap phase: a
 	// central-style round trip that assigns the true pre-increment count.
@@ -75,12 +75,23 @@ func (ackPayload) Kind() string     { return "ack" }
 func (samplePayload) Kind() string  { return "sample" }
 func (bcastPayload) Kind() string   { return "broadcast" }
 
+// arenas holds one sending processor's payload arenas.
+type arenas struct {
+	syncReq counter.Arena[syncReqPayload]
+	syncVal counter.Arena[syncValPayload]
+	report  counter.Arena[reportPayload]
+	ack     counter.Arena[ackPayload]
+	sample  counter.Arena[samplePayload]
+	bcast   counter.Arena[bcastPayload]
+}
+
 // core is the state shared by both protocols. Concurrency discipline (what
 // makes the rt backend race-free without serializing): base[p] and
 // unreported[p] are touched only in site p's initiate and in deliveries
 // addressed to p, both of which run on p's goroutine; total and lastBcast
 // are touched only in the coordinator's initiate and deliveries, which run
-// on the coordinator's goroutine. The op table locks internally.
+// on the coordinator's goroutine. The op table locks internally, and each
+// processor's payload arenas are used only from its own context.
 type core struct {
 	coord sim.ProcID
 	n     int
@@ -103,6 +114,8 @@ type core struct {
 	lastBcast int
 
 	ops *counter.Ops[struct{}, int]
+	// mem holds each processor's payload arenas.
+	mem counter.PerProc[arenas]
 }
 
 func newCore(n int, eps float64, warmup int) core {
@@ -117,6 +130,7 @@ func newCore(n int, eps float64, warmup int) core {
 		base:       make([]int, n+1),
 		unreported: make([]int, n+1),
 		ops:        counter.NewOps[struct{}, int](),
+		mem:        counter.NewPerProc[arenas](n),
 	}
 }
 
@@ -144,11 +158,12 @@ func (c *core) maybeBroadcast(nw sim.Transport, level uint, div int) {
 		return
 	}
 	c.lastBcast = c.total
+	mem := c.mem.Of(c.coord)
 	for q := 1; q <= c.n; q++ {
 		if sim.ProcID(q) == c.coord {
 			continue
 		}
-		nw.Send(sim.ProcID(q), bcastPayload{Total: c.total, Level: level})
+		nw.Send(sim.ProcID(q), mem.bcast.New(bcastPayload{Total: c.total, Level: level}))
 	}
 }
 
@@ -158,6 +173,7 @@ func (c *core) clone() core {
 	cp.base = append([]int(nil), c.base...)
 	cp.unreported = append([]int(nil), c.unreported...)
 	cp.ops = c.ops.Clone(nil)
+	cp.mem = counter.NewPerProc[arenas](c.n)
 	return cp
 }
 

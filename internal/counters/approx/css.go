@@ -83,7 +83,7 @@ func (pr *cssProto) initiate(nw sim.Transport, p sim.ProcID) {
 		return
 	}
 	if pr.base[p] < pr.warmup {
-		nw.Send(pr.coord, syncReqPayload{Origin: p})
+		nw.Send(pr.coord, pr.mem.Of(p).syncReq.New(syncReqPayload{Origin: p}))
 		return
 	}
 	v := pr.base[p]
@@ -91,27 +91,27 @@ func (pr *cssProto) initiate(nw sim.Transport, p sim.ProcID) {
 	// Sample with probability 2^-l: the low l bits of one fresh draw are
 	// all zero. l = 0 masks nothing and always samples.
 	if pr.rngs[p].Uint64()&((1<<l)-1) == 0 {
-		nw.Send(pr.coord, samplePayload{Level: l})
+		nw.Send(pr.coord, pr.mem.Of(p).sample.New(samplePayload{Level: l}))
 	}
 	pr.ops.Finish(nw, p, v)
 }
 
 func (pr *cssProto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case syncReqPayload:
-		nw.Send(pl.Origin, syncValPayload{Val: pr.total, Level: pr.levelOf()})
+	case *syncReqPayload:
+		nw.Send(pl.Origin, pr.mem.Of(msg.To).syncVal.New(syncValPayload{Val: pr.total, Level: pr.levelOf()}))
 		pr.total++
 		pr.maybeBroadcast(nw, pr.levelOf(), 8)
-	case syncValPayload:
+	case *syncValPayload:
 		pr.lift(msg.To, pl.Val)
 		pr.liftLevel(msg.To, pl.Level)
 		pr.ops.Finish(nw, msg.To, pl.Val)
-	case samplePayload:
+	case *samplePayload:
 		// Credit at the level the SITE sampled at: E[credit] = 1 per
 		// increment regardless of how stale that level is.
 		pr.total += 1 << pl.Level
 		pr.maybeBroadcast(nw, pr.levelOf(), 8)
-	case bcastPayload:
+	case *bcastPayload:
 		pr.lift(msg.To, pl.Total)
 		pr.liftLevel(msg.To, pl.Level)
 	default:

@@ -53,13 +53,13 @@ func (pr *gxuProto) initiate(nw sim.Transport, p sim.ProcID) {
 		return
 	}
 	if pr.base[p] < pr.warmup {
-		nw.Send(pr.coord, syncReqPayload{Origin: p})
+		nw.Send(pr.coord, pr.mem.Of(p).syncReq.New(syncReqPayload{Origin: p}))
 		return
 	}
 	v := pr.base[p] + pr.unreported[p]
 	pr.unreported[p]++
 	if pr.unreported[p] >= pr.reportThreshold(p) {
-		nw.Send(pr.coord, reportPayload{Origin: p, Delta: pr.unreported[p]})
+		nw.Send(pr.coord, pr.mem.Of(p).report.New(reportPayload{Origin: p, Delta: pr.unreported[p]}))
 		pr.unreported[p] = 0
 	}
 	pr.ops.Finish(nw, p, v)
@@ -67,20 +67,20 @@ func (pr *gxuProto) initiate(nw sim.Transport, p sim.ProcID) {
 
 func (pr *gxuProto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case syncReqPayload:
-		nw.Send(pl.Origin, syncValPayload{Val: pr.total})
+	case *syncReqPayload:
+		nw.Send(pl.Origin, pr.mem.Of(msg.To).syncVal.New(syncValPayload{Val: pr.total}))
 		pr.total++
 		pr.maybeBroadcast(nw, 0, 4)
-	case syncValPayload:
+	case *syncValPayload:
 		pr.lift(msg.To, pl.Val)
 		pr.ops.Finish(nw, msg.To, pl.Val)
-	case reportPayload:
+	case *reportPayload:
 		pr.total += pl.Delta
-		nw.Send(pl.Origin, ackPayload{Total: pr.total})
+		nw.Send(pl.Origin, pr.mem.Of(msg.To).ack.New(ackPayload{Total: pr.total}))
 		pr.maybeBroadcast(nw, 0, 4)
-	case ackPayload:
+	case *ackPayload:
 		pr.lift(msg.To, pl.Total)
-	case bcastPayload:
+	case *bcastPayload:
 		pr.lift(msg.To, pl.Total)
 	default:
 		panic(badPayload("gxu-threshold", msg.Payload))

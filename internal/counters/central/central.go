@@ -17,7 +17,7 @@ import (
 	"distcount/internal/sim"
 )
 
-// payloads
+// payloads, sent as pointers carved from the sender's arenas
 type (
 	reqPayload struct{ Origin sim.ProcID }
 	valPayload struct{ Val int }
@@ -26,14 +26,27 @@ type (
 func (reqPayload) Kind() string { return "inc-request" }
 func (valPayload) Kind() string { return "value" }
 
+// arenas holds one sending processor's payload arenas.
+type arenas struct {
+	req counter.Arena[reqPayload]
+	val counter.Arena[valPayload]
+}
+
 // proto is the protocol: all state lives at the holder (the counter value);
 // initiators keep only their in-flight operation entry in the shared op
 // table.
 type proto struct {
+	n      int
 	holder sim.ProcID
 	val    int
 
 	ops *counter.Ops[struct{}, int]
+	// mem holds each processor's payload arenas.
+	mem counter.PerProc[arenas]
+}
+
+func newProto(n int, holder sim.ProcID) *proto {
+	return &proto{n: n, holder: holder, ops: counter.NewOps[struct{}, int](), mem: counter.NewPerProc[arenas](n)}
 }
 
 var _ sim.CloneableProtocol = (*proto)(nil)
@@ -47,15 +60,15 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 		pr.val++
 		return
 	}
-	nw.Send(pr.holder, reqPayload{Origin: p})
+	nw.Send(pr.holder, pr.mem.Of(p).req.New(reqPayload{Origin: p}))
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case reqPayload:
-		nw.Send(pl.Origin, valPayload{Val: pr.val})
+	case *reqPayload:
+		nw.Send(pl.Origin, pr.mem.Of(msg.To).val.New(valPayload{Val: pr.val}))
 		pr.val++
-	case valPayload:
+	case *valPayload:
 		pr.ops.Finish(nw, msg.To, pl.Val)
 	default:
 		panic(fmt.Sprintf("central: unexpected payload %T", msg.Payload))
@@ -65,6 +78,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 func (pr *proto) CloneProtocol() sim.Protocol {
 	cp := *pr
 	cp.ops = pr.ops.Clone(nil)
+	cp.mem = counter.NewPerProc[arenas](pr.n)
 	return &cp
 }
 
@@ -104,7 +118,7 @@ func New(n int, opts ...Option) *Counter {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pr := &proto{holder: cfg.holder, ops: counter.NewOps[struct{}, int]()}
+	pr := newProto(n, cfg.holder)
 	return &Counter{
 		net:   sim.New(n, pr, cfg.simOpts...),
 		proto: pr,
@@ -120,7 +134,7 @@ func NewMachine(n int, opts ...Option) counter.Machine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pr := &proto{holder: cfg.holder, ops: counter.NewOps[struct{}, int]()}
+	pr := newProto(n, cfg.holder)
 	return counter.Machine{
 		Name:      "central",
 		N:         n,

@@ -29,6 +29,7 @@ import (
 	"distcount/internal/sim"
 )
 
+// payloads, sent as pointers carved from the sender's arenas
 type (
 	// tokenPayload traverses the network: it is about to enter the
 	// balancer of stage Stage on wire Wire.
@@ -50,6 +51,13 @@ func (tokenPayload) Kind() string { return "token" }
 func (exitPayload) Kind() string  { return "exit" }
 func (valuePayload) Kind() string { return "value" }
 
+// arenas holds one sending processor's payload arenas.
+type arenas struct {
+	token counter.Arena[tokenPayload]
+	exit  counter.Arena[exitPayload]
+	value counter.Arena[valuePayload]
+}
+
 // balancer is a two-wire toggle.
 type balancer struct {
 	a, b int // wire pair, a < b
@@ -70,6 +78,8 @@ type proto struct {
 	// ops tracks the in-flight traversal per initiator and records each
 	// operation's delivered value.
 	ops *counter.Ops[struct{}, int]
+	// mem holds each processor's payload arenas.
+	mem counter.PerProc[arenas]
 }
 
 var _ sim.CloneableProtocol = (*proto)(nil)
@@ -110,6 +120,7 @@ func newProto(n, width int, construction Construction) *proto {
 		width:     width,
 		wireCount: make([]int, width),
 		ops:       counter.NewOps[struct{}, int](),
+		mem:       counter.NewPerProc[arenas](n),
 	}
 	for w := 0; w < width; w++ {
 		pr.wireCount[w] = w
@@ -208,12 +219,12 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	// struct would also read its toggle, which the host processor flips
 	// concurrently on the rt backend.
 	host := pr.balancers[pr.stageWire[0][entry]].host
-	nw.Send(host, tokenPayload{Stage: 0, Wire: entry, Origin: p})
+	nw.Send(host, pr.mem.Of(p).token.New(tokenPayload{Stage: 0, Wire: entry, Origin: p}))
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case tokenPayload:
+	case *tokenPayload:
 		b := &pr.balancers[pr.stageWire[pl.Stage][pl.Wire]]
 		out := b.first
 		if b.toggle {
@@ -222,19 +233,19 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 		b.toggle = !b.toggle
 		next := pl.Stage + 1
 		if next == pr.depth() {
-			nw.Send(pr.wireOwner(out), exitPayload{Wire: out, Origin: pl.Origin})
+			nw.Send(pr.wireOwner(out), pr.mem.Of(msg.To).exit.New(exitPayload{Wire: out, Origin: pl.Origin}))
 			return
 		}
-		nw.Send(pr.balancers[pr.stageWire[next][out]].host, tokenPayload{
+		nw.Send(pr.balancers[pr.stageWire[next][out]].host, pr.mem.Of(msg.To).token.New(tokenPayload{
 			Stage:  next,
 			Wire:   out,
 			Origin: pl.Origin,
-		})
-	case exitPayload:
+		}))
+	case *exitPayload:
 		val := pr.wireCount[pl.Wire]
 		pr.wireCount[pl.Wire] += pr.width
-		nw.Send(pl.Origin, valuePayload{Val: val})
-	case valuePayload:
+		nw.Send(pl.Origin, pr.mem.Of(msg.To).value.New(valuePayload{Val: val}))
+	case *valuePayload:
 		pr.ops.Finish(nw, msg.To, pl.Val)
 	default:
 		panic(fmt.Sprintf("cnet: unexpected payload %T", msg.Payload))
@@ -246,6 +257,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	cp.balancers = append([]balancer(nil), pr.balancers...)
 	cp.wireCount = append([]int(nil), pr.wireCount...)
 	cp.ops = pr.ops.Clone(nil)
+	cp.mem = counter.NewPerProc[arenas](pr.n)
 	// stageWire is immutable after construction and can be shared.
 	return &cp
 }

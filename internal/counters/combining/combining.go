@@ -25,7 +25,7 @@ import (
 	"distcount/internal/sim"
 )
 
-// payloads
+// payloads, sent as pointers carved from the sender's arenas
 type (
 	// reqPayload climbs the tree. Exactly one of FromLeaf (leaf request)
 	// and FromNode/ChildBatch (combined request from a child node) is set.
@@ -55,6 +55,14 @@ func (reqPayload) Kind() string   { return "combine-request" }
 func (respPayload) Kind() string  { return "combine-response" }
 func (valuePayload) Kind() string { return "value" }
 func (windowTimer) Kind() string  { return "window-timer" }
+
+// arenas holds one sending processor's payload arenas.
+type arenas struct {
+	req   counter.Arena[reqPayload]
+	resp  counter.Arena[respPayload]
+	value counter.Arena[valuePayload]
+	timer counter.Arena[windowTimer]
+}
 
 // contrib is one participant of a batch.
 type contrib struct {
@@ -88,6 +96,9 @@ type cnode struct {
 	inFlight map[int]*batch
 	nextID   int
 	val      int // root only
+	// free holds distributed batches for reuse, contribs emptied but
+	// keeping their capacity.
+	free []*batch
 }
 
 type proto struct {
@@ -100,6 +111,8 @@ type proto struct {
 	// operation's delivered value.
 	ops *counter.Ops[struct{}, int]
 	val int // used only in the degenerate n == 1 case
+	// mem holds each processor's payload arenas.
+	mem counter.PerProc[arenas]
 
 	// combined counts requests that were merged into an existing batch —
 	// the quantity the concurrency experiment watches. Accessed atomically:
@@ -135,11 +148,13 @@ func newProto(n int, window int64) *proto {
 		window:     window,
 		leafParent: make([]int, n+1),
 		ops:        counter.NewOps[struct{}, int](),
+		mem:        counter.NewPerProc[arenas](n),
 	}
 	for p := range pr.leafParent {
 		pr.leafParent[p] = -1
 	}
 	if n > 1 {
+		pr.nodes = make([]cnode, 0, n-1) // a binary tree over n leaves
 		pr.buildTree(1, n, -1)
 	}
 	return pr
@@ -153,23 +168,25 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 		return
 	}
 	parent := pr.leafParent[p]
-	nw.Send(pr.nodes[parent].host, reqPayload{
+	nw.Send(pr.nodes[parent].host, pr.mem.Of(p).req.New(reqPayload{
 		Node:     parent,
 		FromLeaf: p,
 		FromNode: -1,
 		Count:    1,
-	})
+	}))
 }
 
+// Deliver runs at msg.To, which for every node-addressed payload is the
+// node's host: the handlers below send from the host's arenas.
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case reqPayload:
+	case *reqPayload:
 		pr.handleReq(nw, pl)
-	case respPayload:
+	case *respPayload:
 		pr.handleResp(nw, pl)
-	case valuePayload:
+	case *valuePayload:
 		pr.ops.Finish(nw, msg.To, pl.Val)
-	case windowTimer:
+	case *windowTimer:
 		nd := &pr.nodes[pl.Node]
 		if nd.pending != nil && nd.pending.seq == pl.Seq {
 			pr.closeBatch(nw, pl.Node)
@@ -179,14 +196,17 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	}
 }
 
-func (pr *proto) handleReq(nw sim.Transport, pl reqPayload) {
+func (pr *proto) handleReq(nw sim.Transport, pl *reqPayload) {
 	nd := &pr.nodes[pl.Node]
 	c := contrib{fromLeaf: pl.FromLeaf, fromNode: pl.FromNode, childBatch: pl.ChildBatch, count: pl.Count}
 	if nd.pending == nil {
 		nd.seq++
-		nd.pending = &batch{seq: nd.seq, contribs: []contrib{c}, total: pl.Count}
+		b := nd.newBatch()
+		b.seq, b.total = nd.seq, pl.Count
+		b.contribs = append(b.contribs, c)
+		nd.pending = b
 		if pr.window > 0 {
-			nw.After(pr.window, windowTimer{Node: pl.Node, Seq: nd.seq})
+			nw.After(pr.window, pr.mem.Of(nd.host).timer.New(windowTimer{Node: pl.Node, Seq: nd.seq}))
 			return
 		}
 		pr.closeBatch(nw, pl.Node)
@@ -201,6 +221,17 @@ func (pr *proto) handleReq(nw sim.Transport, pl reqPayload) {
 	atomic.AddInt64(&pr.combined, 1)
 }
 
+// newBatch returns an empty batch, reusing a distributed one when the node
+// has any.
+func (nd *cnode) newBatch() *batch {
+	if k := len(nd.free); k > 0 {
+		b := nd.free[k-1]
+		nd.free = nd.free[:k-1]
+		return b
+	}
+	return &batch{}
+}
+
 // closeBatch forwards the pending batch upward, or applies it at the root.
 func (pr *proto) closeBatch(nw sim.Transport, node int) {
 	nd := &pr.nodes[node]
@@ -209,21 +240,21 @@ func (pr *proto) closeBatch(nw sim.Transport, node int) {
 	if nd.parent == -1 {
 		base := nd.val
 		nd.val += b.total
-		pr.distribute(nw, b, base)
+		pr.distribute(nw, node, b, base)
 		return
 	}
 	id := nd.nextID
 	nd.nextID++
 	nd.inFlight[id] = b
-	nw.Send(pr.nodes[nd.parent].host, reqPayload{
+	nw.Send(pr.nodes[nd.parent].host, pr.mem.Of(nd.host).req.New(reqPayload{
 		Node:       nd.parent,
 		FromNode:   node,
 		ChildBatch: id,
 		Count:      b.total,
-	})
+	}))
 }
 
-func (pr *proto) handleResp(nw sim.Transport, pl respPayload) {
+func (pr *proto) handleResp(nw sim.Transport, pl *respPayload) {
 	nd := &pr.nodes[pl.Node]
 	b, ok := nd.inFlight[pl.Batch]
 	if !ok {
@@ -233,32 +264,40 @@ func (pr *proto) handleResp(nw sim.Transport, pl respPayload) {
 		return
 	}
 	delete(nd.inFlight, pl.Batch)
-	pr.distribute(nw, b, pl.Base)
+	pr.distribute(nw, pl.Node, b, pl.Base)
 }
 
-// distribute splits a value range among the contributors of a batch.
-// Sends for merged contributors are attributed to their own operations via
-// the adopted tokens; the window opener's send rides the current delivery,
-// which is already on its causal chain.
-func (pr *proto) distribute(nw sim.Transport, b *batch, base int) {
+// distribute splits a value range among the contributors of node's batch,
+// then returns the batch to the node's free list. Sends for merged
+// contributors are attributed to their own operations via the adopted
+// tokens; the window opener's send rides the current delivery, which is
+// already on its causal chain.
+func (pr *proto) distribute(nw sim.Transport, node int, b *batch, base int) {
+	nd := &pr.nodes[node]
+	mem := pr.mem.Of(nd.host)
 	offset := base
 	for _, c := range b.contribs {
-		send := nw.Send
-		if c.tok.Valid() {
-			tok := c.tok
-			send = func(to sim.ProcID, pl sim.Payload) { nw.SendAs(tok, to, pl) }
-		}
+		var to sim.ProcID
+		var pl sim.Payload
 		if c.fromNode == -1 {
-			send(c.fromLeaf, valuePayload{Val: offset})
+			to, pl = c.fromLeaf, mem.value.New(valuePayload{Val: offset})
 		} else {
-			send(pr.nodes[c.fromNode].host, respPayload{
+			to, pl = pr.nodes[c.fromNode].host, mem.resp.New(respPayload{
 				Node:  c.fromNode,
 				Batch: c.childBatch,
 				Base:  offset,
 			})
 		}
+		if c.tok.Valid() {
+			nw.SendAs(c.tok, to, pl)
+		} else {
+			nw.Send(to, pl)
+		}
 		offset += c.count
 	}
+	clear(b.contribs) // drop the spent continuation tokens
+	b.contribs = b.contribs[:0]
+	nd.free = append(nd.free, b)
 }
 
 func (pr *proto) CloneProtocol() sim.Protocol {
@@ -278,9 +317,11 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 			b.contribs = append([]contrib(nil), bb.contribs...)
 			cp.nodes[i].inFlight[id] = &b
 		}
+		cp.nodes[i].free = nil
 	}
 	cp.leafParent = append([]int(nil), pr.leafParent...)
 	cp.ops = pr.ops.Clone(nil)
+	cp.mem = counter.NewPerProc[arenas](pr.n)
 	return &cp
 }
 

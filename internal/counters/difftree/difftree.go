@@ -25,6 +25,7 @@ import (
 	"distcount/internal/sim"
 )
 
+// payloads, sent as pointers carved from the sender's arenas
 type (
 	// tokenPayload is a token about to enter inner node Node (heap index)
 	// at depth Level with partial leaf index Idx.
@@ -53,14 +54,23 @@ func (exitPayload) Kind() string  { return "exit" }
 func (valuePayload) Kind() string { return "value" }
 func (prismTimer) Kind() string   { return "prism-timer" }
 
+// arenas holds one sending processor's payload arenas.
+type arenas struct {
+	token counter.Arena[tokenPayload]
+	exit  counter.Arena[exitPayload]
+	value counter.Arena[valuePayload]
+	timer counter.Arena[prismTimer]
+}
+
 // dnode is an inner node: a toggle plus a one-slot prism.
 type dnode struct {
 	host   sim.ProcID
 	toggle bool
-	// parked is the token waiting in the prism (nil when empty), and tok
-	// the adopted continuation of its operation: a diffracting partner
-	// routes the parked token onward inside the parked operation's own
-	// causal chain rather than its own.
+	// parked is the token waiting in the prism (nil when empty; payloads
+	// are immutable, so the delivered one is kept as is), and tok the
+	// adopted continuation of its operation: a diffracting partner routes
+	// the parked token onward inside the parked operation's own causal
+	// chain rather than its own.
 	parked *tokenPayload
 	tok    sim.OpToken
 	seq    int
@@ -75,6 +85,8 @@ type proto struct {
 	// ops tracks the in-flight token per initiator and records each
 	// operation's delivered value.
 	ops *counter.Ops[struct{}, int]
+	// mem holds each processor's payload arenas.
+	mem counter.PerProc[arenas]
 
 	// diffracted counts token pairs that bypassed a toggle. Accessed
 	// atomically: node hosts on different rt goroutines all increment it.
@@ -101,6 +113,7 @@ func newProto(n, width int, window int64) *proto {
 		nodes:     make([]dnode, width), // slots 1..width-1 used
 		leafCount: make([]int, width),
 		ops:       counter.NewOps[struct{}, int](),
+		mem:       counter.NewPerProc[arenas](n),
 		toggles:   make([]int64, width),
 	}
 	for i := 1; i < width; i++ {
@@ -118,97 +131,91 @@ func (pr *proto) leafOwner(idx int) sim.ProcID {
 
 func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	pr.ops.Begin(nw, p)
-	nw.Send(pr.nodes[1].host, tokenPayload{Node: 1, Level: 0, Idx: 0, Origin: p})
+	nw.Send(pr.nodes[1].host, pr.mem.Of(p).token.New(tokenPayload{Node: 1, Level: 0, Idx: 0, Origin: p}))
 }
 
-// route sends a token onward after it resolved direction at node tk.Node:
-// right == true sets the level bit of the leaf index.
-func (pr *proto) route(nw sim.Transport, tk tokenPayload, right bool) {
-	pr.routeWith(nw.Send, tk, right)
+// send transmits pl from the current delivery, or inside the adopted
+// operation tok when it is valid (a diffracted partner or an expired
+// prism's token continues in its own causal chain).
+func send(nw sim.Transport, tok sim.OpToken, to sim.ProcID, pl sim.Payload) {
+	if tok.Valid() {
+		nw.SendAs(tok, to, pl)
+	} else {
+		nw.Send(to, pl)
+	}
 }
 
-// routeWith is route with an explicit send function, so a diffracted
-// partner can be forwarded inside its own operation (sim.SendAs).
-func (pr *proto) routeWith(send func(sim.ProcID, sim.Payload), tk tokenPayload, right bool) {
+// route sends a token onward from node tk.Node's host after it resolved
+// its direction: right == true sets the level bit of the leaf index.
+func (pr *proto) route(nw sim.Transport, tok sim.OpToken, tk *tokenPayload, right bool) {
 	idx := tk.Idx
 	child := tk.Node * 2
 	if right {
 		idx |= 1 << tk.Level
 		child++
 	}
+	mem := pr.mem.Of(pr.nodes[tk.Node].host)
 	if tk.Level+1 == pr.depth {
-		send(pr.leafOwner(idx), exitPayload{Idx: idx, Origin: tk.Origin})
+		send(nw, tok, pr.leafOwner(idx), mem.exit.New(exitPayload{Idx: idx, Origin: tk.Origin}))
 		return
 	}
-	send(pr.nodes[child].host, tokenPayload{
+	send(nw, tok, pr.nodes[child].host, mem.token.New(tokenPayload{
 		Node:   child,
 		Level:  tk.Level + 1,
 		Idx:    idx,
 		Origin: tk.Origin,
-	})
+	}))
 }
 
 // toggleRoute resolves a token through the node's toggle.
-func (pr *proto) toggleRoute(nw sim.Transport, tk tokenPayload) {
-	pr.toggleRouteWith(nw.Send, tk)
-}
-
-// toggleRouteWith is toggleRoute with an explicit send function, for the
-// prism-expiry path where the token continues through its adopted
-// continuation rather than the (detached) timer delivery.
-func (pr *proto) toggleRouteWith(send func(sim.ProcID, sim.Payload), tk tokenPayload) {
+func (pr *proto) toggleRoute(nw sim.Transport, tok sim.OpToken, tk *tokenPayload) {
 	nd := &pr.nodes[tk.Node]
 	right := nd.toggle
 	nd.toggle = !nd.toggle
 	pr.toggles[tk.Node]++
-	pr.routeWith(send, tk, right)
+	pr.route(nw, tok, tk, right)
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case tokenPayload:
+	case *tokenPayload:
 		nd := &pr.nodes[pl.Node]
 		if nd.parked != nil {
 			// Diffraction: the parked partner goes left, the arriving
 			// token right; the toggle is untouched. The partner continues
 			// inside its own operation through the adopted token.
-			partner := *nd.parked
-			tok := nd.tok
-			nd.parked = nil
-			nd.tok = sim.OpToken{}
+			partner, tok := nd.parked, nd.tok
+			nd.parked, nd.tok = nil, sim.OpToken{}
 			atomic.AddInt64(&pr.diffracted, 1)
-			pr.routeWith(func(to sim.ProcID, p sim.Payload) { nw.SendAs(tok, to, p) }, partner, false)
-			pr.route(nw, pl, true)
+			pr.route(nw, tok, partner, false)
+			pr.route(nw, sim.OpToken{}, pl, true)
 			return
 		}
 		if pr.window == 0 {
-			pr.toggleRoute(nw, pl)
+			pr.toggleRoute(nw, sim.OpToken{}, pl)
 			return
 		}
 		// Park: the operation is held open by the adopted token alone; the
 		// expiry timer is detached so that a timer outliving a diffraction
 		// does not delay the diffracted operation's completion.
-		tk := pl
 		nd.seq++
-		nd.parked = &tk
+		nd.parked = pl
 		nd.tok = nw.Adopt()
-		nw.AfterDetached(pr.window, prismTimer{Node: pl.Node, Seq: nd.seq})
-	case prismTimer:
+		nw.AfterDetached(pr.window, pr.mem.Of(msg.To).timer.New(prismTimer{Node: pl.Node, Seq: nd.seq}))
+	case *prismTimer:
 		nd := &pr.nodes[pl.Node]
 		if nd.parked != nil && nd.seq == pl.Seq {
 			// Un-paired expiry: the detached timer carries no operation,
 			// so the token continues through its adopted continuation.
-			tk := *nd.parked
-			tok := nd.tok
-			nd.parked = nil
-			nd.tok = sim.OpToken{}
-			pr.toggleRouteWith(func(to sim.ProcID, p sim.Payload) { nw.SendAs(tok, to, p) }, tk)
+			tk, tok := nd.parked, nd.tok
+			nd.parked, nd.tok = nil, sim.OpToken{}
+			pr.toggleRoute(nw, tok, tk)
 		}
-	case exitPayload:
+	case *exitPayload:
 		val := pr.leafCount[pl.Idx]
 		pr.leafCount[pl.Idx] += pr.width
-		nw.Send(pl.Origin, valuePayload{Val: val})
-	case valuePayload:
+		nw.Send(pl.Origin, pr.mem.Of(msg.To).value.New(valuePayload{Val: val}))
+	case *valuePayload:
 		pr.ops.Finish(nw, msg.To, pl.Val)
 	default:
 		panic(fmt.Sprintf("difftree: unexpected payload %T", msg.Payload))
@@ -218,15 +225,10 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 func (pr *proto) CloneProtocol() sim.Protocol {
 	cp := *pr
 	cp.nodes = make([]dnode, len(pr.nodes))
-	copy(cp.nodes, pr.nodes)
-	for i := range cp.nodes {
-		if pr.nodes[i].parked != nil {
-			tk := *pr.nodes[i].parked
-			cp.nodes[i].parked = &tk
-		}
-	}
+	copy(cp.nodes, pr.nodes) // parked payloads are immutable and shared
 	cp.leafCount = append([]int(nil), pr.leafCount...)
 	cp.ops = pr.ops.Clone(nil)
+	cp.mem = counter.NewPerProc[arenas](pr.n)
 	cp.toggles = append([]int64(nil), pr.toggles...)
 	return &cp
 }

@@ -32,6 +32,7 @@ import (
 	"distcount/internal/sim"
 )
 
+// payloads, sent as pointers carved from the sender's arenas
 type (
 	readReq  struct{ Origin sim.ProcID }
 	readResp struct{ Val, Ver int }
@@ -46,6 +47,14 @@ func (readReq) Kind() string  { return "read-request" }
 func (readResp) Kind() string { return "read-response" }
 func (writeReq) Kind() string { return "write-request" }
 func (writeAck) Kind() string { return "write-ack" }
+
+// arenas holds one sending processor's payload arenas.
+type arenas struct {
+	readReq  counter.Arena[readReq]
+	readResp counter.Arena[readResp]
+	writeReq counter.Arena[writeReq]
+	writeAck counter.Arena[writeAck]
+}
 
 // replica is one processor's copy of the counter.
 type replica struct {
@@ -73,9 +82,21 @@ type proto struct {
 	// ops keys each initiator's probe state and records delivered values
 	// per operation.
 	ops *counter.Ops[opState, int]
+	// mem holds each processor's payload arenas.
+	mem counter.PerProc[arenas]
 }
 
 var _ sim.CloneableProtocol = (*proto)(nil)
+
+func newProto(sys quorum.System) *proto {
+	return &proto{
+		sys:      sys,
+		replicas: make([]replica, sys.N()+1),
+		localOps: make([]int, sys.N()+1),
+		ops:      counter.NewOps[opState, int](),
+		mem:      counter.NewPerProc[arenas](sys.N()),
+	}
+}
 
 func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	idx := int(p) - 1 + pr.sys.N()*pr.localOps[p]
@@ -90,7 +111,7 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 			continue
 		}
 		st.awaitReads++
-		nw.Send(sim.ProcID(member), readReq{Origin: p})
+		nw.Send(sim.ProcID(member), pr.mem.Of(p).readReq.New(readReq{Origin: p}))
 	}
 	if st.awaitReads == 0 {
 		pr.startWrite(nw, p, st)
@@ -112,7 +133,7 @@ func (pr *proto) startWrite(nw sim.Transport, origin sim.ProcID, st *opState) {
 			continue
 		}
 		st.awaitAcks++
-		nw.Send(sim.ProcID(member), writeReq{Origin: origin, Val: val, Ver: ver})
+		nw.Send(sim.ProcID(member), pr.mem.Of(origin).writeReq.New(writeReq{Origin: origin, Val: val, Ver: ver}))
 	}
 	if st.awaitAcks == 0 {
 		pr.ops.Finish(nw, origin, st.bestVal)
@@ -121,10 +142,10 @@ func (pr *proto) startWrite(nw sim.Transport, origin sim.ProcID, st *opState) {
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case readReq:
+	case *readReq:
 		r := pr.replicas[msg.To]
-		nw.Send(pl.Origin, readResp{Val: r.val, Ver: r.ver})
-	case readResp:
+		nw.Send(pl.Origin, pr.mem.Of(msg.To).readResp.New(readResp{Val: r.val, Ver: r.ver}))
+	case *readResp:
 		// GetFor discriminates stale replies: under fault injection a
 		// duplicated readResp may arrive after its operation finished or
 		// after the initiator began its next one, and must not perturb that
@@ -140,13 +161,13 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 		if st.awaitReads == 0 {
 			pr.startWrite(nw, msg.To, st)
 		}
-	case writeReq:
+	case *writeReq:
 		r := &pr.replicas[msg.To]
 		if pl.Ver > r.ver {
 			r.val, r.ver = pl.Val, pl.Ver
 		}
-		nw.Send(pl.Origin, writeAck{})
-	case writeAck:
+		nw.Send(pl.Origin, pr.mem.Of(msg.To).writeAck.New(writeAck{}))
+	case *writeAck:
 		st, ok := pr.ops.GetFor(nw, msg.To)
 		if !ok || st.awaitAcks == 0 {
 			return
@@ -169,6 +190,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 		d.quorum = append([]int(nil), st.quorum...)
 		return d
 	})
+	cp.mem = counter.NewPerProc[arenas](pr.sys.N())
 	return &cp
 }
 
@@ -189,12 +211,7 @@ var (
 // system. The replica of processor 1 starts at (0, 0); all replicas start
 // identical, so the first read observes version 0 everywhere.
 func New(sys quorum.System, simOpts ...sim.Option) *Counter {
-	pr := &proto{
-		sys:      sys,
-		replicas: make([]replica, sys.N()+1),
-		localOps: make([]int, sys.N()+1),
-		ops:      counter.NewOps[opState, int](),
-	}
+	pr := newProto(sys)
 	return &Counter{
 		net:   sim.New(sys.N(), pr, simOpts...),
 		proto: pr,
@@ -207,12 +224,7 @@ func New(sys quorum.System, simOpts ...sim.Option) *Counter {
 // only ever touched in processor i's execution context, so handlers may run
 // concurrently per processor.
 func NewMachine(sys quorum.System) counter.Machine {
-	pr := &proto{
-		sys:      sys,
-		replicas: make([]replica, sys.N()+1),
-		localOps: make([]int, sys.N()+1),
-		ops:      counter.NewOps[opState, int](),
-	}
+	pr := newProto(sys)
 	return counter.Machine{
 		Name:      "quorum-" + sys.Name(),
 		N:         sys.N(),

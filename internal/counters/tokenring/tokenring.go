@@ -29,12 +29,25 @@ type tokenPayload struct {
 
 func (tokenPayload) Kind() string { return "token" }
 
+// arenas holds one sending processor's payload arenas; payloads are sent
+// as pointers carved from the sender's arenas.
+type arenas struct {
+	token   counter.Arena[tokenPayload]
+	request counter.Arena[requestPayload]
+}
+
 type proto struct {
 	n      int
 	holder sim.ProcID // current token holder
 	val    int
 
 	ops *counter.Ops[struct{}, int]
+	// mem holds each processor's payload arenas.
+	mem counter.PerProc[arenas]
+}
+
+func newProto(n int) *proto {
+	return &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int](), mem: counter.NewPerProc[arenas](n)}
 }
 
 var _ sim.CloneableProtocol = (*proto)(nil)
@@ -69,7 +82,7 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 func (pr *proto) routeToken(nw sim.Transport, dest sim.ProcID) {
 	// Request message: initiator -> holder (1 message), then token hops
 	// holder -> ... -> dest along the ring.
-	nw.Send(pr.holder, requestPayload{Dest: dest})
+	nw.Send(pr.holder, pr.mem.Of(dest).request.New(requestPayload{Dest: dest}))
 }
 
 type requestPayload struct{ Dest sim.ProcID }
@@ -78,10 +91,10 @@ func (requestPayload) Kind() string { return "token-request" }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case requestPayload:
+	case *requestPayload:
 		// Current holder releases the token toward the destination.
-		nw.Send(pr.next(msg.To), tokenPayload{Val: pr.val, Dest: pl.Dest})
-	case tokenPayload:
+		nw.Send(pr.next(msg.To), pr.mem.Of(msg.To).token.New(tokenPayload{Val: pr.val, Dest: pl.Dest}))
+	case *tokenPayload:
 		if msg.To == pl.Dest {
 			pr.holder = msg.To
 			pr.val = pl.Val
@@ -98,6 +111,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 func (pr *proto) CloneProtocol() sim.Protocol {
 	cp := *pr
 	cp.ops = pr.ops.Clone(nil)
+	cp.mem = counter.NewPerProc[arenas](pr.n)
 	return &cp
 }
 
@@ -116,7 +130,7 @@ var (
 // New creates a token-ring counter over n processors; processor 1 initially
 // holds the token and the value 0.
 func New(n int, simOpts ...sim.Option) *Counter {
-	pr := &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int]()}
+	pr := newProto(n)
 	return &Counter{net: sim.New(n, pr, simOpts...), proto: pr}
 }
 
@@ -124,7 +138,7 @@ func New(n int, simOpts ...sim.Option) *Counter {
 // processors. Serial: initiate reads the current holder, which every token
 // landing rewrites, so the rt backend must serialize all callbacks.
 func NewMachine(n int) counter.Machine {
-	pr := &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int]()}
+	pr := newProto(n)
 	return counter.Machine{
 		Name:      "tokenring",
 		N:         n,

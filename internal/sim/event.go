@@ -208,7 +208,9 @@ func (q *eventQueue) pop() event {
 }
 
 // clone returns a deep copy of the queue (slices are copied; events are
-// value types, payloads are immutable by contract).
+// value types). Payloads are shared, not copied: they are immutable by
+// contract, including arena-backed pointer payloads, which no protocol
+// mutates after Send.
 func (q *eventQueue) clone() eventQueue {
 	out := eventQueue{
 		heads:   q.heads,

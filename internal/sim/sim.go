@@ -37,9 +37,13 @@ type ProcID int
 // is never a valid id; ids start at 1.
 type OpID int
 
-// Payload is the protocol-specific content of a message. Implementations
-// must be immutable value types (or treated as such): clones of a network
-// share in-flight payloads.
+// Payload is the protocol-specific content of a message. A payload must be
+// immutable once sent: clones of a network share in-flight payloads, and a
+// duplicated delivery hands the receiver the same payload twice. Value
+// types qualify, and so do pointers — the protocols in this repository
+// send pointers carved from per-processor arenas (counter.Arena), whose
+// slots are written once before Send and never again. Kind and Bits are
+// read through either form.
 type Payload interface {
 	// Kind returns a short human-readable tag used in traces and debugging.
 	Kind() string
