@@ -204,8 +204,7 @@ func WithTracing() Option {
 // increments may be injected while earlier ones are still in flight, as
 // RunWorkload does. Every initiator owns its operation state, so any
 // algorithm works; the combining and diffracting trees are built with
-// their merge windows open, and the paper's tree without its
-// sequential-only instrumentation.
+// their merge windows open.
 func InConcurrentRegime() Option {
 	return func(s *buildSpec) { s.concurrent = true }
 }
@@ -243,8 +242,8 @@ func WithBackend(name string) Option {
 
 // New builds the named counter over (at least) n processors. With no
 // options it is configured for the sequential regime of the paper's model
-// (each operation running to quiescence before the next, windows closed,
-// instrumentation on); pass InConcurrentRegime for workload-driven
+// (each operation running to quiescence before the next, windows
+// closed); pass InConcurrentRegime for workload-driven
 // concurrent operation. The returned counter always supports both Inc and
 // Start, and exposes its consistency contract via
 // ValuedCounter.Guarantee().
@@ -265,43 +264,6 @@ func New(algorithm string, n int, opts ...Option) (AsyncCounter, error) {
 	cfg.Epsilon = s.epsilon
 	cfg.Backend = s.backend
 	return registry.NewWith(algorithm, n, cfg)
-}
-
-// NewCounter builds the named counter over (at least) n processors.
-//
-// Deprecated: Use New(algorithm, n).
-func NewCounter(algorithm string, n int) (Counter, error) {
-	return New(algorithm, n)
-}
-
-// NewTracedCounter is NewCounter with communication-DAG tracing enabled.
-//
-// Deprecated: Use New(algorithm, n, WithTracing()).
-func NewTracedCounter(algorithm string, n int) (Counter, error) {
-	return New(algorithm, n, WithTracing())
-}
-
-// AsyncAlgorithms lists the algorithms that support concurrent operation.
-// Since the per-initiator op-state refactor this is every registered
-// algorithm — identical to Algorithms().
-//
-// Deprecated: Use Algorithms().
-func AsyncAlgorithms() []string { return registry.Names() }
-
-// NewAsyncCounter builds the named counter configured for concurrent
-// operation.
-//
-// Deprecated: Use New(algorithm, n, InConcurrentRegime()).
-func NewAsyncCounter(algorithm string, n int) (AsyncCounter, error) {
-	return New(algorithm, n, InConcurrentRegime())
-}
-
-// NewAsyncCounterWithServiceTime is NewAsyncCounter on a network where
-// every processor takes service ticks to process each incoming message.
-//
-// Deprecated: Use New(algorithm, n, InConcurrentRegime(), WithServiceTime(service)).
-func NewAsyncCounterWithServiceTime(algorithm string, n int, service int64) (AsyncCounter, error) {
-	return New(algorithm, n, InConcurrentRegime(), WithServiceTime(service))
 }
 
 // Scenarios lists the built-in workload scenario names usable with

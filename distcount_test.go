@@ -105,6 +105,30 @@ func TestNewOptions(t *testing.T) {
 	}
 }
 
+// TestIncOutOfRangeIsAnError: a processor outside [1, n] is caller input,
+// so Inc reports it as an error on both backends instead of panicking.
+func TestIncOutOfRangeIsAnError(t *testing.T) {
+	for _, backend := range []string{"sim", "rt"} {
+		t.Run(backend, func(t *testing.T) {
+			c, err := distcount.New("central", 4, distcount.WithBackend(backend))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cl, ok := c.(interface{ Close() }); ok {
+				defer cl.Close()
+			}
+			for _, p := range []distcount.ProcID{0, 5, 9} {
+				if _, err := c.Inc(p); err == nil {
+					t.Errorf("Inc(%d) on n=4 returned no error", p)
+				}
+			}
+			if v, err := c.Inc(4); err != nil || v != 0 {
+				t.Fatalf("Inc(4) after rejected calls = (%d, %v), want (0, nil)", v, err)
+			}
+		})
+	}
+}
+
 func TestBoundHelpers(t *testing.T) {
 	if distcount.SolveK(81) != 3 || distcount.SizeFor(3) != 81 {
 		t.Fatal("bound arithmetic broken")

@@ -11,7 +11,7 @@ import (
 )
 
 func centralFactory(n int) counter.Cloneable {
-	return central.New(n, central.WithSimOptions(sim.WithTracing()))
+	return counter.NewSim(central.NewMachine(n), sim.WithTracing())
 }
 
 func ctreeFactory(n int) counter.Cloneable {
@@ -19,7 +19,7 @@ func ctreeFactory(n int) counter.Cloneable {
 }
 
 func ringFactory(n int) counter.Cloneable {
-	return tokenring.New(n, sim.WithTracing())
+	return counter.NewSim(tokenring.NewMachine(n), sim.WithTracing())
 }
 
 func TestFullRunCentral(t *testing.T) {
@@ -306,7 +306,7 @@ func TestScheduleExplorationDeterministic(t *testing.T) {
 }
 
 func TestRequiresTracing(t *testing.T) {
-	c := central.New(8) // no tracing
+	c := counter.NewSim(central.NewMachine(8)) // no tracing
 	if _, err := Run(c); err == nil {
 		t.Fatal("adversary accepted a counter without tracing")
 	}

@@ -311,15 +311,23 @@ func NewForSize(n int, opts ...Option) *Counter {
 	return New(KForSize(n), opts...)
 }
 
-// NewMachine returns the backend-independent protocol descriptor for at
-// least n processors (the size rounds up to k^(k+1); lemma instrumentation
-// stays off — its windows assume the sequential model). Serial: retirement
-// rewrites a node's current processor and the forwarding table that every
-// receiver's ensureRole consults, so the rt backend must serialize all
-// protocol callbacks rather than run receivers concurrently.
+// NewMachine returns the paper's counter as a backend-independent protocol
+// descriptor for at least n processors (the size rounds up to k^(k+1);
+// lemma instrumentation stays off — its windows assume the sequential
+// model).
 func NewMachine(n int) counter.Machine {
 	k := KForSize(n)
-	pr := newProto(k, 4*k, &counterState{}, false)
+	return newProto(k, 4*k, &counterState{}, false).Machine()
+}
+
+// Machine implements counter.Describer for a tree serving a counter (the
+// root state NewMachine installs). Serial: retirement rewrites a node's
+// current processor and the forwarding table that every receiver's
+// ensureRole consults, so the rt backend must serialize all protocol
+// callbacks rather than run receivers concurrently. The root applies
+// operations in arrival order and replies directly to initiators, so
+// values respect real-time order under every schedule (experiment E13).
+func (pr *proto) Machine() counter.Machine {
 	return counter.Machine{
 		Name:  "ctree",
 		N:     pr.g.n,

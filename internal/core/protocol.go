@@ -128,7 +128,7 @@ type proto struct {
 	checks *checker // nil when invariant checking is off
 }
 
-var _ sim.CloneableProtocol = (*proto)(nil)
+var _ counter.Describer = (*proto)(nil)
 
 // Stats aggregates protocol-level counters exposed for the experiments and
 // the lemma tests.

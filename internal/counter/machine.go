@@ -11,9 +11,9 @@ type Transport = sim.Transport
 
 // Machine is the backend-independent description of one counter algorithm:
 // the protocol state machine plus the hooks a runtime needs to drive and
-// read it. The simulator wraps a Machine in a sim.Network; the rt backend
-// wraps the same Machine in goroutines and channels. Both run the identical
-// protocol code.
+// read it. It is each algorithm's only constructor. NewSim hosts a Machine
+// on a sim.Network; the rt backend (rt.New) hosts the same Machine on
+// goroutines and channels. Both run the identical protocol code.
 type Machine struct {
 	// Name identifies the algorithm (e.g. "central", "combining").
 	Name string

@@ -248,10 +248,14 @@ func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
 }
 
 // RunInc drives one increment by p through the concurrent Start path and
-// runs the network to quiescence — the shared body of every
-// implementation's sequential Inc method (the paper's execution model:
-// "enough time elapses in between any two inc requests").
+// runs the network to quiescence: the sequential Inc of the simulator host
+// (the paper's execution model: "enough time elapses in between any two
+// inc requests"). A processor outside the network is an error, as on the
+// rt backend.
 func RunInc(c Valued, p sim.ProcID) (int, error) {
+	if p < 1 || int(p) > c.N() {
+		return 0, fmt.Errorf("%s: processor %v outside [1,%d]", c.Name(), p, c.N())
+	}
 	net := c.Net()
 	id := c.Start(net.Now(), p)
 	if err := net.Run(); err != nil {

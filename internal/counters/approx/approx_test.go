@@ -3,6 +3,7 @@ package approx_test
 import (
 	"testing"
 
+	"distcount/internal/counter"
 	"distcount/internal/counters/approx"
 	"distcount/internal/engine"
 	"distcount/internal/sim"
@@ -32,7 +33,7 @@ func runSequential(t *testing.T, c interface {
 // the exact synchronous path, so a sequential run is the identity sequence
 // — the property that makes small-count runs trivially verify at any ε.
 func TestThresholdWarmupExact(t *testing.T) {
-	c := approx.NewThreshold(4) // default ε=0.05 → warmup 321
+	c := counter.NewSim(approx.NewThresholdMachine(4)) // default ε=0.05 → warmup 321
 	for i, v := range runSequential(t, c, 200) {
 		if v != i {
 			t.Fatalf("op %d got %d during warmup, want exact", i, v)
@@ -45,7 +46,7 @@ func TestThresholdWarmupExact(t *testing.T) {
 // the threshold scheme only ever counts real increments.
 func TestThresholdLocalPhaseBounds(t *testing.T) {
 	const eps = 0.2
-	c := approx.NewThreshold(4, approx.WithEpsilon(eps), approx.WithWarmup(8))
+	c := counter.NewSim(approx.NewThresholdMachine(4, approx.WithEpsilon(eps), approx.WithWarmup(8)))
 	for i, v := range runSequential(t, c, 3000) {
 		if v > i {
 			t.Fatalf("op %d got %d > true count %d: threshold scheme overestimated", i, v, i)
@@ -60,7 +61,7 @@ func TestThresholdLocalPhaseBounds(t *testing.T) {
 // message cost per operation falls as the count grows, far below the two
 // messages per operation every exact centralized scheme pays.
 func TestThresholdMessagesSubLinear(t *testing.T) {
-	c := approx.NewThreshold(4, approx.WithEpsilon(0.2), approx.WithWarmup(8))
+	c := counter.NewSim(approx.NewThresholdMachine(4, approx.WithEpsilon(0.2), approx.WithWarmup(8)))
 	runSequential(t, c, 1000)
 	mid := c.Net().MessagesTotal()
 	runSequential(t, c, 1000)
@@ -75,7 +76,7 @@ func TestThresholdMessagesSubLinear(t *testing.T) {
 
 // TestSampleWarmupExact: css-sample's warmup phase is exact, like gxu's.
 func TestSampleWarmupExact(t *testing.T) {
-	c := approx.NewSample(4) // default ε=0.25 → warmup 65
+	c := counter.NewSim(approx.NewSampleMachine(4)) // default ε=0.25 → warmup 65
 	for i, v := range runSequential(t, c, 50) {
 		if v != i {
 			t.Fatalf("op %d got %d during warmup, want exact", i, v)
@@ -88,7 +89,7 @@ func TestSampleWarmupExact(t *testing.T) {
 // sources are sampling noise and broadcast staleness).
 func TestSampleLocalPhaseBounds(t *testing.T) {
 	const eps = 0.25
-	c := approx.NewSample(4, approx.WithEpsilon(eps), approx.WithWarmup(8))
+	c := counter.NewSim(approx.NewSampleMachine(4, approx.WithEpsilon(eps), approx.WithWarmup(8)))
 	for i, v := range runSequential(t, c, 4000) {
 		lo, hi := (1-eps)*float64(i), (1+eps)*float64(i)
 		if float64(v) < lo-1 || float64(v) > hi+1 {
@@ -102,7 +103,7 @@ func TestSampleLocalPhaseBounds(t *testing.T) {
 // accuracy study double-run byte-compare in CI.
 func TestSampleDeterministic(t *testing.T) {
 	run := func() []int {
-		c := approx.NewSample(8, approx.WithWarmup(16), approx.WithSimOptions(sim.WithSeed(9)))
+		c := counter.NewSim(approx.NewSampleMachine(8, approx.WithWarmup(16)), sim.WithSeed(9))
 		var ids []sim.OpID
 		for i := 0; i < 400; i++ {
 			ids = append(ids, c.Start(int64(i*2), sim.ProcID(i%8+1)))
@@ -133,12 +134,12 @@ func TestSampleDeterministic(t *testing.T) {
 // on: every value must stay within the claimed ε of the true-count
 // bracket even with increments in flight.
 func TestConcurrentVerifiedWithinEpsilon(t *testing.T) {
-	builds := map[string]func() *approx.Counter{
-		"gxu-threshold": func() *approx.Counter {
-			return approx.NewThreshold(8, approx.WithEpsilon(0.1), approx.WithWarmup(320))
+	builds := map[string]func() *counter.Sim{
+		"gxu-threshold": func() *counter.Sim {
+			return counter.NewSim(approx.NewThresholdMachine(8, approx.WithEpsilon(0.1), approx.WithWarmup(320)))
 		},
-		"css-sample": func() *approx.Counter {
-			return approx.NewSample(8, approx.WithEpsilon(0.25), approx.WithWarmup(128))
+		"css-sample": func() *counter.Sim {
+			return counter.NewSim(approx.NewSampleMachine(8, approx.WithEpsilon(0.25), approx.WithWarmup(128)))
 		},
 	}
 	for name, build := range builds {
@@ -171,13 +172,12 @@ func TestConcurrentVerifiedWithinEpsilon(t *testing.T) {
 // lower-bound adversary machinery requires deep protocol copies, sampling
 // streams included.
 func TestCloneIndependent(t *testing.T) {
-	c := approx.NewSample(4, approx.WithWarmup(8))
+	c := counter.NewSim(approx.NewSampleMachine(4, approx.WithWarmup(8)))
 	runSequential(t, c, 100)
-	cl, err := c.Clone()
+	c2, err := c.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := cl.(*approx.Counter)
 	// Same state, same streams: the next sequential values must agree.
 	for i := 0; i < 50; i++ {
 		p := sim.ProcID(i%4 + 1)

@@ -42,7 +42,7 @@ type cssProto struct {
 	level []uint
 }
 
-var _ sim.CloneableProtocol = (*cssProto)(nil)
+var _ counter.Describer = (*cssProto)(nil)
 
 func newCSSProto(n int, cfg config) *cssProto {
 	pr := &cssProto{
@@ -140,25 +140,22 @@ func (pr *cssProto) CloneProtocol() sim.Protocol {
 	return cp
 }
 
-// NewSample creates a css-sample counter over n processors.
-func NewSample(n int, opts ...Option) *Counter {
-	cfg := newConfig(DefaultEpsilonSample, opts)
-	return newCounter("css-sample", cfg, n, newCSSProto(n, cfg))
-}
-
-// NewSampleMachine returns the backend-independent descriptor of the
-// css-sample counter. Like the threshold scheme, every piece of mutable
-// state is confined to one processor's execution context, so handlers may
-// run concurrently per processor.
-func NewSampleMachine(n int, opts ...Option) counter.Machine {
-	cfg := newConfig(DefaultEpsilonSample, opts)
-	pr := newCSSProto(n, cfg)
+// Machine implements counter.Describer. Like the threshold scheme, every
+// piece of mutable state is confined to one processor's execution context,
+// so handlers may run concurrently per processor.
+func (pr *cssProto) Machine() counter.Machine {
 	return counter.Machine{
 		Name:      "css-sample",
-		N:         n,
+		N:         pr.n,
 		Proto:     pr,
 		Initiate:  pr.initiate,
 		Value:     pr.ops.Take,
-		Guarantee: counter.Approx(cfg.eps),
+		Guarantee: counter.Approx(pr.eps),
 	}
+}
+
+// NewSampleMachine returns the css-sample counter over n processors.
+func NewSampleMachine(n int, opts ...Option) counter.Machine {
+	cfg := newConfig(DefaultEpsilonSample, opts)
+	return newCSSProto(n, cfg).Machine()
 }

@@ -26,7 +26,7 @@ type gxuProto struct {
 	core
 }
 
-var _ sim.CloneableProtocol = (*gxuProto)(nil)
+var _ counter.Describer = (*gxuProto)(nil)
 
 // reportThreshold is the unreported-delta size at which site p ships its
 // count: a fraction ε/(2n) of the site's current estimate, so aggregate
@@ -91,26 +91,22 @@ func (pr *gxuProto) CloneProtocol() sim.Protocol {
 	return &gxuProto{core: pr.clone()}
 }
 
-// NewThreshold creates a gxu-threshold counter over n processors.
-func NewThreshold(n int, opts ...Option) *Counter {
-	cfg := newConfig(DefaultEpsilonThreshold, opts)
-	pr := &gxuProto{core: newCore(n, cfg.eps, cfg.warmup)}
-	return newCounter("gxu-threshold", cfg, n, pr)
-}
-
-// NewThresholdMachine returns the backend-independent descriptor of the
-// gxu-threshold counter. Per-site state is confined to each site's own
-// execution context and coordinator state to the coordinator's, so
-// handlers may run concurrently per processor.
-func NewThresholdMachine(n int, opts ...Option) counter.Machine {
-	cfg := newConfig(DefaultEpsilonThreshold, opts)
-	pr := &gxuProto{core: newCore(n, cfg.eps, cfg.warmup)}
+// Machine implements counter.Describer. Per-site state is confined to each
+// site's own execution context and coordinator state to the coordinator's,
+// so handlers may run concurrently per processor.
+func (pr *gxuProto) Machine() counter.Machine {
 	return counter.Machine{
 		Name:      "gxu-threshold",
-		N:         n,
+		N:         pr.n,
 		Proto:     pr,
 		Initiate:  pr.initiate,
 		Value:     pr.ops.Take,
-		Guarantee: counter.Approx(cfg.eps),
+		Guarantee: counter.Approx(pr.eps),
 	}
+}
+
+// NewThresholdMachine returns the gxu-threshold counter over n processors.
+func NewThresholdMachine(n int, opts ...Option) counter.Machine {
+	cfg := newConfig(DefaultEpsilonThreshold, opts)
+	return (&gxuProto{core: newCore(n, cfg.eps, cfg.warmup)}).Machine()
 }

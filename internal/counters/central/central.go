@@ -49,7 +49,7 @@ func newProto(n int, holder sim.ProcID) *proto {
 	return &proto{n: n, holder: holder, ops: counter.NewOps[struct{}, int](), mem: counter.NewPerProc[arenas](n)}
 }
 
-var _ sim.CloneableProtocol = (*proto)(nil)
+var _ counter.Describer = (*proto)(nil)
 
 func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	pr.ops.Begin(nw, p)
@@ -82,62 +82,14 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the centralized counter.
-type Counter struct {
-	net   *sim.Network
-	proto *proto
-	start func(sim.Transport, sim.ProcID)
-}
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
-
-// Option configures the counter.
-type Option func(*config)
-
-type config struct {
-	holder  sim.ProcID
-	simOpts []sim.Option
-}
-
-// WithHolder selects which processor stores the counter value (default 1).
-func WithHolder(p sim.ProcID) Option {
-	return func(c *config) { c.holder = p }
-}
-
-// WithSimOptions forwards options to the underlying network.
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *config) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-// New creates a centralized counter over n processors.
-func New(n int, opts ...Option) *Counter {
-	cfg := config{holder: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pr := newProto(n, cfg.holder)
-	return &Counter{
-		net:   sim.New(n, pr, cfg.simOpts...),
-		proto: pr,
-	}
-}
-
-// NewMachine returns the backend-independent protocol descriptor for n
-// processors, for running the algorithm on a non-simulator transport
-// (internal/rt). The counter value is confined to the holder's execution
-// context, so handlers may run concurrently per processor.
-func NewMachine(n int, opts ...Option) counter.Machine {
-	cfg := config{holder: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pr := newProto(n, cfg.holder)
+// Machine implements counter.Describer. The counter value is confined to
+// the holder's execution context, so handlers may run concurrently per
+// processor; the holder is a single serialization point, so values respect
+// real-time order.
+func (pr *proto) Machine() counter.Machine {
 	return counter.Machine{
 		Name:      "central",
-		N:         n,
+		N:         pr.n,
 		Proto:     pr,
 		Initiate:  pr.initiate,
 		Value:     pr.ops.Take,
@@ -145,48 +97,23 @@ func NewMachine(n int, opts ...Option) counter.Machine {
 	}
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return "central" }
+// Option configures the counter.
+type Option func(*config)
 
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
-
-// Holder returns the processor storing the counter value.
-func (c *Counter) Holder() sim.ProcID { return c.proto.holder }
-
-// Inc implements counter.Counter.
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
+type config struct {
+	holder sim.ProcID
 }
 
-// Start implements counter.Async: it schedules p's operation without
-// running the network. The holder serves each request independently and
-// assigns values atomically in request-arrival order, so the counter stays
-// linearizable under concurrency.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
+// WithHolder selects which processor stores the counter value (default 1).
+func WithHolder(p sim.ProcID) Option {
+	return func(c *config) { c.holder = p }
 }
 
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: the holder is a single
-// serialization point, so values respect real-time order.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Linearizable) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
+// NewMachine returns the centralized counter over n processors.
+func NewMachine(n int, opts ...Option) counter.Machine {
+	cfg := config{holder: 1}
+	for _, o := range opts {
+		o(&cfg)
 	}
-	return &Counter{net: net, proto: net.Protocol().(*proto)}, nil
+	return newProto(n, cfg.holder).Machine()
 }

@@ -10,7 +10,11 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return New(n, WithSimOptions(sim.WithTracing()))
+	return counter.NewSim(NewMachine(n), sim.WithTracing())
+}
+
+func newSim(n int, opts ...Option) *counter.Sim {
+	return counter.NewSim(NewMachine(n, opts...))
 }
 
 func TestConformance(t *testing.T) {
@@ -25,7 +29,7 @@ func TestHolderIsBottleneck(t *testing.T) {
 	// The paper's motivating example: over the canonical workload the holder
 	// exchanges 2(n-1) messages while everyone else exchanges 2.
 	const n = 64
-	c := New(n)
+	c := newSim(n)
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +48,7 @@ func TestHolderIsBottleneck(t *testing.T) {
 }
 
 func TestTwoMessagesPerRemoteOp(t *testing.T) {
-	c := New(8)
+	c := newSim(8)
 	if _, err := c.Inc(5); err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +58,8 @@ func TestTwoMessagesPerRemoteOp(t *testing.T) {
 }
 
 func TestHolderIncIsFree(t *testing.T) {
-	c := New(8)
-	v, err := c.Inc(c.Holder())
+	c := newSim(8)
+	v, err := c.Inc(c.Net().Protocol().(*proto).holder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func TestHolderIncIsFree(t *testing.T) {
 }
 
 func TestCustomHolder(t *testing.T) {
-	c := New(8, WithHolder(5))
+	c := newSim(8, WithHolder(5))
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestCustomHolder(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(2).Name() != "central" {
+	if newSim(2).Name() != "central" {
 		t.Fatal("wrong name")
 	}
 }

@@ -69,8 +69,9 @@ type balancer struct {
 }
 
 type proto struct {
-	n, width  int
-	balancers []balancer
+	n, width     int
+	construction Construction
+	balancers    []balancer
 	// stageWire[s][w] is the balancer index handling wire w in stage s.
 	stageWire [][]int
 	// wireCount[w] is the next value output wire w will hand out.
@@ -82,7 +83,7 @@ type proto struct {
 	mem counter.PerProc[arenas]
 }
 
-var _ sim.CloneableProtocol = (*proto)(nil)
+var _ counter.Describer = (*proto)(nil)
 
 // Construction selects the counting-network topology.
 type Construction int
@@ -116,11 +117,12 @@ func newProto(n, width int, construction Construction) *proto {
 		panic(fmt.Sprintf("cnet: width %d must be a power of two >= 2", width))
 	}
 	pr := &proto{
-		n:         n,
-		width:     width,
-		wireCount: make([]int, width),
-		ops:       counter.NewOps[struct{}, int](),
-		mem:       counter.NewPerProc[arenas](n),
+		n:            n,
+		width:        width,
+		construction: construction,
+		wireCount:    make([]int, width),
+		ops:          counter.NewOps[struct{}, int](),
+		mem:          counter.NewPerProc[arenas](n),
 	}
 	for w := 0; w < width; w++ {
 		pr.wireCount[w] = w
@@ -262,18 +264,27 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the counting-network counter.
-type Counter struct {
-	net          *sim.Network
-	proto        *proto
-	start        func(sim.Transport, sim.ProcID)
-	construction Construction
+// Machine implements counter.Describer. Each balancer's toggle lives at
+// its host processor and each output wire's count at its owner, so handlers
+// may run concurrently per processor. The step property guarantees
+// exactly-once values under any schedule, but not real-time order: the
+// counting network is quiescently consistent and — famously — NOT
+// linearizable under concurrency (Herlihy/Shavit/Waarts), which experiment
+// E13 demonstrates against the paper's tree counter.
+func (pr *proto) Machine() counter.Machine {
+	name := "cnet"
+	if pr.construction == Periodic {
+		name = "cnet-periodic"
+	}
+	return counter.Machine{
+		Name:      name,
+		N:         pr.n,
+		Proto:     pr,
+		Initiate:  pr.initiate,
+		Value:     pr.ops.Take,
+		Guarantee: counter.Exact(counter.Quiescent),
+	}
 }
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
 
 // Option configures the counter.
 type Option func(*cfg)
@@ -281,7 +292,6 @@ type Option func(*cfg)
 type cfg struct {
 	width        int
 	construction Construction
-	simOpts      []sim.Option
 }
 
 // WithWidth sets the network width (a power of two >= 2). The default is
@@ -295,31 +305,7 @@ func WithConstruction(con Construction) Option {
 	return func(c *cfg) { c.construction = con }
 }
 
-// WithSimOptions forwards options to the underlying network.
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-// New creates a counting-network counter over n processors.
-func New(n int, opts ...Option) *Counter {
-	cfg := cfg{construction: Bitonic}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.width == 0 {
-		cfg.width = 2
-		for cfg.width < n && cfg.width < 16 {
-			cfg.width <<= 1
-		}
-	}
-	pr := newProto(n, cfg.width, cfg.construction)
-	return &Counter{net: sim.New(n, pr, cfg.simOpts...), proto: pr, construction: cfg.construction}
-}
-
-// NewMachine returns the backend-independent protocol descriptor for n
-// processors (sim options in opts are ignored). Each balancer's toggle lives
-// at its host processor and each output wire's count at its owner, so
-// handlers may run concurrently per processor.
+// NewMachine returns the counting-network counter over n processors.
 func NewMachine(n int, opts ...Option) counter.Machine {
 	cfg := cfg{construction: Bitonic}
 	for _, o := range opts {
@@ -331,96 +317,5 @@ func NewMachine(n int, opts ...Option) counter.Machine {
 			cfg.width <<= 1
 		}
 	}
-	pr := newProto(n, cfg.width, cfg.construction)
-	name := "cnet"
-	if cfg.construction == Periodic {
-		name = "cnet-periodic"
-	}
-	return counter.Machine{
-		Name:      name,
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Exact(counter.Quiescent),
-	}
-}
-
-// Name implements counter.Counter.
-func (c *Counter) Name() string {
-	if c.construction == Periodic {
-		return "cnet-periodic"
-	}
-	return "cnet"
-}
-
-// Construction returns the network topology in use.
-func (c *Counter) Construction() Construction { return c.construction }
-
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
-
-// Width returns the network width.
-func (c *Counter) Width() int { return c.proto.width }
-
-// Depth returns the number of balancer stages.
-func (c *Counter) Depth() int { return c.proto.depth() }
-
-// Balancers returns the total number of balancers: w/2 per stage.
-func (c *Counter) Balancers() int { return len(c.proto.balancers) }
-
-// WireCounts returns a copy of the per-output-wire token counts handed out
-// so far, for step-property checks: counts[w] = number of tokens that left
-// on wire w.
-func (c *Counter) WireCounts() []int {
-	out := make([]int, c.proto.width)
-	for w, next := range c.proto.wireCount {
-		out[w] = (next - w) / c.proto.width
-	}
-	return out
-}
-
-// Inc implements counter.Counter (sequential mode).
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start begins p's operation without draining the network (the concurrent
-// regime); read the value with ValueOf after the network quiesces. The
-// counting network is quiescently consistent but — famously — NOT
-// linearizable under concurrency (Herlihy/Shavit/Waarts), which experiment
-// E13 demonstrates against the paper's tree counter.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
-// ValueOf returns the value delivered to p's last *completed* operation;
-// ok is false between an operation's initiation and its completion. A
-// Start scheduled in the future resets the flag only when it initiates.
-func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
-	return c.proto.ops.Last(p)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: the step property guarantees
-// exactly-once values under any schedule, but not real-time order [HSW].
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Quiescent) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto), construction: c.construction}, nil
+	return newProto(n, cfg.width, cfg.construction).Machine()
 }

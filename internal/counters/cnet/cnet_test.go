@@ -10,11 +10,11 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return New(n, WithSimOptions(sim.WithTracing()))
+	return counter.NewSim(NewMachine(n), sim.WithTracing())
 }
 
 func periodicFactory(n int) counter.Counter {
-	return New(n, WithConstruction(Periodic), WithSimOptions(sim.WithTracing()))
+	return counter.NewSim(NewMachine(n, WithConstruction(Periodic)), sim.WithTracing())
 }
 
 func TestConformance(t *testing.T) {
@@ -35,7 +35,7 @@ func TestCloneIndependence(t *testing.T) {
 func TestSequentialExactCounting(t *testing.T) {
 	for _, construction := range []Construction{Bitonic, Periodic} {
 		for _, width := range []int{2, 4, 8, 16, 32} {
-			c := New(8, WithWidth(width), WithConstruction(construction))
+			c := newSim(8, WithWidth(width), WithConstruction(construction))
 			for i := 0; i < 3*width+5; i++ {
 				p := sim.ProcID(i%8 + 1)
 				v, err := c.Inc(p)
@@ -55,12 +55,12 @@ func TestPeriodicDepth(t *testing.T) {
 	for _, c := range []struct{ width, depth int }{
 		{2, 1}, {4, 4}, {8, 9}, {16, 16},
 	} {
-		n := New(4, WithWidth(c.width), WithConstruction(Periodic))
-		if n.Depth() != c.depth {
-			t.Fatalf("periodic width %d: depth = %d, want %d", c.width, n.Depth(), c.depth)
+		n := NewMachine(4, WithWidth(c.width), WithConstruction(Periodic)).Proto.(*proto)
+		if n.depth() != c.depth {
+			t.Fatalf("periodic width %d: depth = %d, want %d", c.width, n.depth(), c.depth)
 		}
-		if n.Balancers() != c.depth*c.width/2 {
-			t.Fatalf("periodic width %d: balancers = %d, want %d", c.width, n.Balancers(), c.depth*c.width/2)
+		if len(n.balancers) != c.depth*c.width/2 {
+			t.Fatalf("periodic width %d: balancers = %d, want %d", c.width, len(n.balancers), c.depth*c.width/2)
 		}
 	}
 }
@@ -69,13 +69,13 @@ func TestPeriodicDepth(t *testing.T) {
 // construction too.
 func TestPeriodicStepProperty(t *testing.T) {
 	const width = 8
-	c := New(4, WithWidth(width), WithConstruction(Periodic))
+	c := newSim(4, WithWidth(width), WithConstruction(Periodic))
 	for i := 0; i < 21; i++ {
 		if _, err := c.Inc(sim.ProcID(i%4 + 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, got := range c.WireCounts() {
+	for i, got := range wireCounts(c) {
 		want := (21 - i + width - 1) / width
 		if got != want {
 			t.Fatalf("wire %d count = %d, want %d", i, got, want)
@@ -84,10 +84,10 @@ func TestPeriodicStepProperty(t *testing.T) {
 }
 
 func TestConstructionNamesAndString(t *testing.T) {
-	if New(4).Name() != "cnet" {
+	if NewMachine(4).Name != "cnet" {
 		t.Fatal("bitonic name wrong")
 	}
-	if New(4, WithConstruction(Periodic)).Name() != "cnet-periodic" {
+	if NewMachine(4, WithConstruction(Periodic)).Name != "cnet-periodic" {
 		t.Fatal("periodic name wrong")
 	}
 	if Bitonic.String() != "bitonic" || Periodic.String() != "periodic" {
@@ -96,8 +96,8 @@ func TestConstructionNamesAndString(t *testing.T) {
 	if Construction(9).String() == "" {
 		t.Fatal("unknown construction string empty")
 	}
-	if got := New(4, WithConstruction(Periodic)).Construction(); got != Periodic {
-		t.Fatalf("Construction() = %v", got)
+	if got := NewMachine(4, WithConstruction(Periodic)).Proto.(*proto).construction; got != Periodic {
+		t.Fatalf("construction = %v", got)
 	}
 }
 
@@ -107,20 +107,20 @@ func TestUnknownConstructionPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	New(4, WithConstruction(Construction(99)))
+	NewMachine(4, WithConstruction(Construction(99)))
 }
 
 // TestStepProperty: after T sequential tokens the output wire counts
 // satisfy the step property: wire i has ceil((T-i)/w) tokens.
 func TestStepProperty(t *testing.T) {
 	const width = 8
-	c := New(4, WithWidth(width))
+	c := newSim(4, WithWidth(width))
 	for i := 0; i < 29; i++ {
 		if _, err := c.Inc(sim.ProcID(i%4 + 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	counts := c.WireCounts()
+	counts := wireCounts(c)
 	total := 0
 	for i, got := range counts {
 		want := (29 - i + width - 1) / width
@@ -141,12 +141,12 @@ func TestDepthFormula(t *testing.T) {
 		{8, 6, 24},
 		{16, 10, 80},
 	} {
-		n := New(4, WithWidth(c.width))
-		if n.Depth() != c.depth {
-			t.Fatalf("width %d: depth = %d, want %d", c.width, n.Depth(), c.depth)
+		n := NewMachine(4, WithWidth(c.width)).Proto.(*proto)
+		if n.depth() != c.depth {
+			t.Fatalf("width %d: depth = %d, want %d", c.width, n.depth(), c.depth)
 		}
-		if n.Balancers() != c.balancers {
-			t.Fatalf("width %d: balancers = %d, want %d", c.width, n.Balancers(), c.balancers)
+		if len(n.balancers) != c.balancers {
+			t.Fatalf("width %d: balancers = %d, want %d", c.width, len(n.balancers), c.balancers)
 		}
 	}
 }
@@ -155,11 +155,11 @@ func TestMessagesPerOp(t *testing.T) {
 	// One op costs depth+2 messages: entry, stage transitions, exit to the
 	// wire owner, value back. (Stage hops between balancers on the same
 	// host still count: they are messages in the network model.)
-	c := New(8, WithWidth(4))
+	c := newSim(8, WithWidth(4))
 	if _, err := c.Inc(3); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(c.Depth() + 2)
+	want := int64(c.Net().Protocol().(*proto).depth() + 2)
 	if got := c.Net().MessagesTotal(); got != want {
 		t.Fatalf("messages = %d, want %d", got, want)
 	}
@@ -170,7 +170,7 @@ func TestMessagesPerOp(t *testing.T) {
 // though total messages are much larger.
 func TestLoadSpreadAcrossBalancerHosts(t *testing.T) {
 	const n = 32
-	c := New(n, WithWidth(32))
+	c := newSim(n, WithWidth(32))
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
 		t.Fatal(err)
 	}
@@ -190,25 +190,40 @@ func TestInvalidWidthPanics(t *testing.T) {
 					t.Errorf("width %d: no panic", w)
 				}
 			}()
-			New(4, WithWidth(w))
+			NewMachine(4, WithWidth(w))
 		}()
 	}
 }
 
 func TestDefaultWidth(t *testing.T) {
-	if got := New(8).Width(); got != 8 {
+	if got := NewMachine(8).Proto.(*proto).width; got != 8 {
 		t.Fatalf("default width for n=8 is %d, want 8", got)
 	}
-	if got := New(100).Width(); got != 16 {
+	if got := NewMachine(100).Proto.(*proto).width; got != 16 {
 		t.Fatalf("default width for n=100 is %d, want 16 (capped)", got)
 	}
-	if got := New(1).Width(); got != 2 {
+	if got := NewMachine(1).Proto.(*proto).width; got != 2 {
 		t.Fatalf("default width for n=1 is %d, want 2", got)
 	}
 }
 
 func TestName(t *testing.T) {
-	if New(2).Name() != "cnet" {
+	if counter.NewSim(NewMachine(2)).Name() != "cnet" {
 		t.Fatal("wrong name")
 	}
+}
+
+func newSim(n int, opts ...Option) *counter.Sim {
+	return counter.NewSim(NewMachine(n, opts...))
+}
+
+// wireCounts returns the per-output-wire token counts handed out so far:
+// counts[w] = number of tokens that left on wire w.
+func wireCounts(c *counter.Sim) []int {
+	pr := c.Net().Protocol().(*proto)
+	out := make([]int, pr.width)
+	for w, next := range pr.wireCount {
+		out[w] = (next - w) / pr.width
+	}
+	return out
 }

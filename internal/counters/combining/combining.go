@@ -325,24 +325,28 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the combining-tree counter.
-type Counter struct {
-	net   *sim.Network
-	proto *proto
-	start func(sim.Transport, sim.ProcID)
+// Machine implements counter.Describer. Each inner node's batch state lives
+// at its host processor, so handlers may run concurrently per processor.
+// The root assigns value ranges to batches in arrival order, and an
+// operation joins only batches that close after it started, so values
+// respect real-time order: combining keeps linearizability while removing
+// the root's message hot spot.
+func (pr *proto) Machine() counter.Machine {
+	return counter.Machine{
+		Name:      "combining",
+		N:         pr.n,
+		Proto:     pr,
+		Initiate:  pr.initiate,
+		Value:     pr.ops.Take,
+		Guarantee: counter.Exact(counter.Linearizable),
+	}
 }
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
 
 // Option configures the counter.
 type Option func(*cfg)
 
 type cfg struct {
-	window  int64
-	simOpts []sim.Option
+	window int64
 }
 
 // WithWindow sets the combining window in simulated time units (default 0:
@@ -354,100 +358,25 @@ func WithWindow(w int64) Option {
 	return func(c *cfg) { c.window = w }
 }
 
-// WithSimOptions forwards options to the underlying network.
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-// New creates a combining-tree counter over n processors.
-func New(n int, opts ...Option) *Counter {
-	var c cfg
-	for _, o := range opts {
-		o(&c)
-	}
-	pr := newProto(n, c.window)
-	return &Counter{net: sim.New(n, pr, c.simOpts...), proto: pr}
-}
-
-// NewMachine returns the backend-independent protocol descriptor for n
-// processors (sim options in opts are ignored — they configure a network,
-// not the protocol). Each inner node's batch state lives at its host
-// processor, so handlers may run concurrently per processor.
+// NewMachine returns the combining-tree counter over n processors.
 func NewMachine(n int, opts ...Option) counter.Machine {
 	var c cfg
 	for _, o := range opts {
 		o(&c)
 	}
-	pr := newProto(n, c.window)
-	return counter.Machine{
-		Name:      "combining",
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Exact(counter.Linearizable),
-	}
+	return newProto(n, c.window).Machine()
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return "combining" }
-
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
-
-// Combined returns how many requests merged into an open window so far.
-func (c *Counter) Combined() int64 { return atomic.LoadInt64(&c.proto.combined) }
+// Combined returns how many requests merged into an open window so far in
+// the combining-tree protocol pr (a Machine's Proto).
+func Combined(pr sim.Protocol) int64 { return atomic.LoadInt64(&pr.(*proto).combined) }
 
 // RootHost returns the processor hosting the tree root (the sequential
-// bottleneck).
-func (c *Counter) RootHost() sim.ProcID {
-	if c.proto.n == 1 {
+// bottleneck) of the combining-tree protocol pr.
+func RootHost(pr sim.Protocol) sim.ProcID {
+	p := pr.(*proto)
+	if p.n == 1 {
 		return 1
 	}
-	return c.proto.nodes[0].host
-}
-
-// Inc implements counter.Counter (sequential mode).
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start begins p's operation without running the network; used by the
-// concurrent experiments, which schedule many operations and then run the
-// network once. The assigned value is available from ValueOf after the
-// network quiesces.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
-// ValueOf returns the value delivered to p's last operation; ok is false if
-// none was delivered.
-func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
-	return c.proto.ops.Last(p)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: the root assigns value ranges to
-// batches in arrival order, and an operation joins only batches that close
-// after it started, so values respect real-time order — combining keeps
-// linearizability while removing the root's message hot spot.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Linearizable) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto)}, nil
+	return p.nodes[0].host
 }

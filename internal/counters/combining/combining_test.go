@@ -10,7 +10,7 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return New(n, WithSimOptions(sim.WithTracing()))
+	return counter.NewSim(NewMachine(n), sim.WithTracing())
 }
 
 func TestConformance(t *testing.T) {
@@ -22,24 +22,24 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestSequentialNeverCombines(t *testing.T) {
-	c := New(16)
+	c := newSim(16)
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(16)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Combined() != 0 {
-		t.Fatalf("sequential run combined %d requests", c.Combined())
+	if Combined(c.Net().Protocol()) != 0 {
+		t.Fatalf("sequential run combined %d requests", Combined(c.Net().Protocol()))
 	}
 }
 
 func TestRootHostIsSequentialBottleneck(t *testing.T) {
 	const n = 32
-	c := New(n)
+	c := newSim(n)
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
 		t.Fatal(err)
 	}
 	s := loadstat.SummarizeLoads(c.Net().Loads())
-	if s.Bottleneck != int(c.RootHost()) {
-		t.Fatalf("bottleneck = p%d, want root host p%d", s.Bottleneck, c.RootHost())
+	if s.Bottleneck != int(RootHost(c.Net().Protocol())) {
+		t.Fatalf("bottleneck = p%d, want root host p%d", s.Bottleneck, RootHost(c.Net().Protocol()))
 	}
 	// The root host sees >= 2 messages per operation it does not initiate.
 	if s.MaxLoad < int64(2*(n-2)) {
@@ -51,19 +51,19 @@ func TestConcurrentCombining(t *testing.T) {
 	// All processors fire at t=0 with a combining window: requests must
 	// merge, and every processor still gets a distinct value.
 	const n = 16
-	c := New(n, WithWindow(8))
+	c := newSim(n, WithWindow(8))
 	for p := 1; p <= n; p++ {
 		c.Start(0, sim.ProcID(p))
 	}
 	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Combined() == 0 {
+	if Combined(c.Net().Protocol()) == 0 {
 		t.Fatal("no combining despite simultaneous requests and open window")
 	}
 	seen := make([]bool, n)
 	for p := 1; p <= n; p++ {
-		v, ok := c.ValueOf(sim.ProcID(p))
+		v, ok := valueOf(c, sim.ProcID(p))
 		if !ok {
 			t.Fatalf("processor %d got no value", p)
 		}
@@ -77,14 +77,14 @@ func TestConcurrentCombining(t *testing.T) {
 func TestConcurrentCombiningCutsRootTraffic(t *testing.T) {
 	const n = 32
 	run := func(window int64) int64 {
-		c := New(n, WithWindow(window))
+		c := newSim(n, WithWindow(window))
 		for p := 1; p <= n; p++ {
 			c.Start(0, sim.ProcID(p))
 		}
 		if err := c.Net().Run(); err != nil {
 			t.Fatal(err)
 		}
-		return c.Net().Load(c.RootHost())
+		return c.Net().Load(RootHost(c.Net().Protocol()))
 	}
 	without := run(0)
 	with := run(16)
@@ -98,7 +98,7 @@ func TestConcurrentCombiningCutsRootTraffic(t *testing.T) {
 // responses straight and every operation gets a distinct value.
 func TestPipelinedBatches(t *testing.T) {
 	const n = 16
-	c := New(n, WithWindow(2))
+	c := newSim(n, WithWindow(2))
 	// Wave 1 at t=0, wave 2 well after wave 1's windows closed but (at
 	// depth 4 with unit latency) before its responses returned.
 	for p := 1; p <= 8; p++ {
@@ -112,7 +112,7 @@ func TestPipelinedBatches(t *testing.T) {
 	}
 	seen := make([]bool, n)
 	for p := 1; p <= n; p++ {
-		v, ok := c.ValueOf(sim.ProcID(p))
+		v, ok := valueOf(c, sim.ProcID(p))
 		if !ok {
 			t.Fatalf("processor %d got no value", p)
 		}
@@ -121,14 +121,14 @@ func TestPipelinedBatches(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if c.Combined() == 0 {
+	if Combined(c.Net().Protocol()) == 0 {
 		t.Fatal("waves did not combine at all")
 	}
 }
 
 func TestWindowTimerExpiresAlone(t *testing.T) {
 	// A single request with a window must still complete (via the timer).
-	c := New(8, WithWindow(5))
+	c := newSim(8, WithWindow(5))
 	v, err := c.Inc(3)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestWindowTimerExpiresAlone(t *testing.T) {
 }
 
 func TestSingleProcessorLocal(t *testing.T) {
-	c := New(1)
+	c := newSim(1)
 	for i := 0; i < 3; i++ {
 		v, err := c.Inc(1)
 		if err != nil {
@@ -164,7 +164,16 @@ func TestNegativeWindowPanics(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(2).Name() != "combining" {
+	if newSim(2).Name() != "combining" {
 		t.Fatal("wrong name")
 	}
+}
+
+func newSim(n int, opts ...Option) *counter.Sim {
+	return counter.NewSim(NewMachine(n, opts...))
+}
+
+// valueOf reads the value delivered to p's last operation.
+func valueOf(c *counter.Sim, p sim.ProcID) (int, bool) {
+	return c.Net().Protocol().(*proto).ops.Last(p)
 }

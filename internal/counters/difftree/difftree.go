@@ -95,7 +95,7 @@ type proto struct {
 	toggles []int64
 }
 
-var _ sim.CloneableProtocol = (*proto)(nil)
+var _ counter.Describer = (*proto)(nil)
 
 func newProto(n, width int, window int64) *proto {
 	if width < 2 || width&(width-1) != 0 {
@@ -233,25 +233,29 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the diffracting-tree counter.
-type Counter struct {
-	net   *sim.Network
-	proto *proto
-	start func(sim.Transport, sim.ProcID)
+// Machine implements counter.Describer. Each inner node's toggle and prism
+// live at its host processor and each leaf counter at its owner, so
+// handlers may run concurrently per processor. Like the counting network,
+// the tree of toggles (with or without diffraction) preserves the step
+// property under any schedule, but a token stalled before its leaf counter
+// can be overtaken, so real-time order is not guaranteed.
+func (pr *proto) Machine() counter.Machine {
+	return counter.Machine{
+		Name:      "difftree",
+		N:         pr.n,
+		Proto:     pr,
+		Initiate:  pr.initiate,
+		Value:     pr.ops.Take,
+		Guarantee: counter.Exact(counter.Quiescent),
+	}
 }
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
 
 // Option configures the counter.
 type Option func(*cfg)
 
 type cfg struct {
-	width   int
-	window  int64
-	simOpts []sim.Option
+	width  int
+	window int64
 }
 
 // WithWidth sets the number of leaf counters (a power of two >= 2); the
@@ -269,31 +273,7 @@ func WithWindow(w int64) Option {
 	return func(c *cfg) { c.window = w }
 }
 
-// WithSimOptions forwards options to the underlying network.
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-// New creates a diffracting-tree counter over n processors.
-func New(n int, opts ...Option) *Counter {
-	var c cfg
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.width == 0 {
-		c.width = 2
-		for c.width < n && c.width < 8 {
-			c.width <<= 1
-		}
-	}
-	pr := newProto(n, c.width, c.window)
-	return &Counter{net: sim.New(n, pr, c.simOpts...), proto: pr}
-}
-
-// NewMachine returns the backend-independent protocol descriptor for n
-// processors (sim options in opts are ignored). Each inner node's toggle and
-// prism live at its host processor and each leaf counter at its owner, so
-// handlers may run concurrently per processor.
+// NewMachine returns the diffracting-tree counter over n processors.
 func NewMachine(n int, opts ...Option) counter.Machine {
 	var c cfg
 	for _, o := range opts {
@@ -305,74 +285,14 @@ func NewMachine(n int, opts ...Option) counter.Machine {
 			c.width <<= 1
 		}
 	}
-	pr := newProto(n, c.width, c.window)
-	return counter.Machine{
-		Name:      "difftree",
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Exact(counter.Quiescent),
-	}
+	return newProto(n, c.width, c.window).Machine()
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return "difftree" }
+// Diffracted returns the number of token pairs that bypassed a toggle in
+// the diffracting-tree protocol pr (a Machine's Proto).
+func Diffracted(pr sim.Protocol) int64 { return atomic.LoadInt64(&pr.(*proto).diffracted) }
 
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
-
-// Width returns the number of leaf counters.
-func (c *Counter) Width() int { return c.proto.width }
-
-// Diffracted returns the number of token pairs that bypassed a toggle.
-func (c *Counter) Diffracted() int64 { return atomic.LoadInt64(&c.proto.diffracted) }
-
-// RootToggles returns how often the root toggle was used — the contention
-// hot spot diffraction exists to relieve.
-func (c *Counter) RootToggles() int64 { return c.proto.toggles[1] }
-
-// RootHost returns the processor hosting the root node.
-func (c *Counter) RootHost() sim.ProcID { return c.proto.nodes[1].host }
-
-// Inc implements counter.Counter (sequential mode).
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start begins p's operation without draining the network (concurrent
-// experiments); read the result with ValueOf after the network quiesces.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
-// ValueOf returns the value delivered to p's last operation.
-func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
-	return c.proto.ops.Last(p)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: like the counting network, the
-// tree of toggles (with or without diffraction) preserves the step property
-// under any schedule but a token stalled before its leaf counter can be
-// overtaken, so real-time order is not guaranteed.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Quiescent) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto)}, nil
-}
+// RootToggles returns how often the root toggle of the diffracting-tree
+// protocol pr was used — the contention hot spot diffraction exists to
+// relieve.
+func RootToggles(pr sim.Protocol) int64 { return pr.(*proto).toggles[1] }

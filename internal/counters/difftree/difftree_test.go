@@ -9,7 +9,7 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return New(n, WithSimOptions(sim.WithTracing()))
+	return counter.NewSim(NewMachine(n), sim.WithTracing())
 }
 
 func TestConformance(t *testing.T) {
@@ -24,7 +24,7 @@ func TestCloneIndependence(t *testing.T) {
 // leaf counters several times.
 func TestSequentialExactCounting(t *testing.T) {
 	for _, width := range []int{2, 4, 8, 16} {
-		c := New(8, WithWidth(width))
+		c := newSim(8, WithWidth(width))
 		for i := 0; i < 3*width+5; i++ {
 			v, err := c.Inc(sim.ProcID(i%8 + 1))
 			if err != nil {
@@ -38,15 +38,15 @@ func TestSequentialExactCounting(t *testing.T) {
 }
 
 func TestSequentialNeverDiffracts(t *testing.T) {
-	c := New(8)
+	c := newSim(8)
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(8)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Diffracted() != 0 {
-		t.Fatalf("sequential run diffracted %d pairs", c.Diffracted())
+	if Diffracted(c.Net().Protocol()) != 0 {
+		t.Fatalf("sequential run diffracted %d pairs", Diffracted(c.Net().Protocol()))
 	}
-	if c.RootToggles() != 8 {
-		t.Fatalf("root toggles = %d, want 8 (every token)", c.RootToggles())
+	if RootToggles(c.Net().Protocol()) != 8 {
+		t.Fatalf("root toggles = %d, want 8 (every token)", RootToggles(c.Net().Protocol()))
 	}
 }
 
@@ -54,19 +54,19 @@ func TestSequentialNeverDiffracts(t *testing.T) {
 // must pair, skip toggles, and still receive distinct values.
 func TestConcurrentDiffraction(t *testing.T) {
 	const n = 16
-	c := New(n, WithWidth(8), WithWindow(6))
+	c := newSim(n, WithWidth(8), WithWindow(6))
 	for p := 1; p <= n; p++ {
 		c.Start(0, sim.ProcID(p))
 	}
 	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Diffracted() == 0 {
+	if Diffracted(c.Net().Protocol()) == 0 {
 		t.Fatal("no diffraction despite simultaneous tokens")
 	}
 	seen := make([]bool, n)
 	for p := 1; p <= n; p++ {
-		v, ok := c.ValueOf(sim.ProcID(p))
+		v, ok := valueOf(c, sim.ProcID(p))
 		if !ok {
 			t.Fatalf("processor %d got no value", p)
 		}
@@ -82,14 +82,14 @@ func TestConcurrentDiffraction(t *testing.T) {
 func TestDiffractionRelievesRootToggle(t *testing.T) {
 	const n = 32
 	run := func(window int64) int64 {
-		c := New(n, WithWidth(8), WithWindow(window))
+		c := newSim(n, WithWidth(8), WithWindow(window))
 		for p := 1; p <= n; p++ {
 			c.Start(0, sim.ProcID(p))
 		}
 		if err := c.Net().Run(); err != nil {
 			t.Fatal(err)
 		}
-		return c.RootToggles()
+		return RootToggles(c.Net().Protocol())
 	}
 	if with, without := run(6), run(0); with >= without {
 		t.Fatalf("diffraction did not relieve root toggles: %d vs %d", with, without)
@@ -100,25 +100,25 @@ func TestDiffractionRelievesRootToggle(t *testing.T) {
 // B arrives and diffracts the pair; when A's stale timer later fires it
 // must not double-route A. Distinct values prove no duplication.
 func TestPrismTimerAfterDiffractionIsNoOp(t *testing.T) {
-	c := New(8, WithWidth(4), WithWindow(10))
+	c := newSim(8, WithWidth(4), WithWindow(10))
 	c.Start(0, 1) // parks at the root at t=1, timer at t=11
 	c.Start(2, 2) // arrives t=3: diffracts the pair
 	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
 	}
-	v1, ok1 := c.ValueOf(1)
-	v2, ok2 := c.ValueOf(2)
+	v1, ok1 := valueOf(c, 1)
+	v2, ok2 := valueOf(c, 2)
 	if !ok1 || !ok2 {
 		t.Fatal("missing values")
 	}
 	if v1 == v2 {
 		t.Fatalf("duplicate value %d after stale timer", v1)
 	}
-	if c.Diffracted() != 1 {
-		t.Fatalf("diffracted = %d, want 1", c.Diffracted())
+	if Diffracted(c.Net().Protocol()) != 1 {
+		t.Fatalf("diffracted = %d, want 1", Diffracted(c.Net().Protocol()))
 	}
-	if c.RootToggles() != 0 {
-		t.Fatalf("root toggled %d times; the pair should have bypassed it", c.RootToggles())
+	if RootToggles(c.Net().Protocol()) != 0 {
+		t.Fatalf("root toggled %d times; the pair should have bypassed it", RootToggles(c.Net().Protocol()))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestPrismTimerAfterDiffractionIsNoOp(t *testing.T) {
 // cannot exist — the timer always drains. This pins the invariant that
 // quiescence implies empty prisms.
 func TestParkedTokenSurvivesClone(t *testing.T) {
-	c := New(8, WithWindow(5))
+	c := newSim(8, WithWindow(5))
 	if _, err := c.Inc(3); err != nil { // runs to quiescence, timer drained
 		t.Fatal(err)
 	}
@@ -135,13 +135,13 @@ func TestParkedTokenSurvivesClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := cl.(*Counter).Inc(4); err != nil || v != 1 {
+	if v, err := cl.Inc(4); err != nil || v != 1 {
 		t.Fatalf("clone Inc = (%d, %v), want (1, nil)", v, err)
 	}
 }
 
 func TestPrismTimerReleasesLoneToken(t *testing.T) {
-	c := New(8, WithWindow(5))
+	c := newSim(8, WithWindow(5))
 	v, err := c.Inc(3) // a lone token must exit via the timer
 	if err != nil {
 		t.Fatal(err)
@@ -149,14 +149,14 @@ func TestPrismTimerReleasesLoneToken(t *testing.T) {
 	if v != 0 {
 		t.Fatalf("value = %d, want 0", v)
 	}
-	if c.Diffracted() != 0 {
+	if Diffracted(c.Net().Protocol()) != 0 {
 		t.Fatal("lone token diffracted")
 	}
 }
 
 func TestMessagesPerOp(t *testing.T) {
 	// depth hops through nodes + exit + value = depth + 2.
-	c := New(8, WithWidth(8)) // depth 3
+	c := newSim(8, WithWidth(8)) // depth 3
 	if _, err := c.Inc(5); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestInvalidWidthPanics(t *testing.T) {
 					t.Errorf("width %d: no panic", w)
 				}
 			}()
-			New(4, WithWidth(w))
+			NewMachine(4, WithWidth(w))
 		}()
 	}
 }
@@ -189,7 +189,7 @@ func TestNegativeWindowPanics(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(2).Name() != "difftree" {
+	if newSim(2).Name() != "difftree" {
 		t.Fatal("wrong name")
 	}
 }
@@ -200,7 +200,7 @@ func TestName(t *testing.T) {
 // arrives at t=2 and diffracts it; op1's exit hop lands t=3 and its value
 // t=4 — completion must report t=4, not t=5.
 func TestDiffractedOpCompletesAtValueDelivery(t *testing.T) {
-	c := New(2, WithWidth(2), WithWindow(4))
+	c := newSim(2, WithWidth(2), WithWindow(4))
 	done := map[sim.OpID]int64{}
 	c.Net().OnOpDone(func(st *sim.OpStats) { done[st.ID] = st.DoneAt })
 	op1 := c.Start(0, 1)
@@ -208,8 +208,8 @@ func TestDiffractedOpCompletesAtValueDelivery(t *testing.T) {
 	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Diffracted() != 1 {
-		t.Fatalf("diffracted = %d, want 1", c.Diffracted())
+	if Diffracted(c.Net().Protocol()) != 1 {
+		t.Fatalf("diffracted = %d, want 1", Diffracted(c.Net().Protocol()))
 	}
 	if done[op1] != 4 {
 		t.Fatalf("diffracted op completed at t=%d, want 4 (value delivery, not timer expiry)", done[op1])
@@ -217,7 +217,16 @@ func TestDiffractedOpCompletesAtValueDelivery(t *testing.T) {
 	if done[op2] != 4 {
 		t.Fatalf("partner op completed at t=%d, want 4", done[op2])
 	}
-	if _, ok := c.ValueOf(1); !ok {
+	if _, ok := valueOf(c, 1); !ok {
 		t.Fatal("op1 got no value")
 	}
+}
+
+func newSim(n int, opts ...Option) *counter.Sim {
+	return counter.NewSim(NewMachine(n, opts...))
+}
+
+// valueOf reads the value delivered to p's last operation.
+func valueOf(c *counter.Sim, p sim.ProcID) (int, bool) {
+	return c.Net().Protocol().(*proto).ops.Last(p)
 }

@@ -11,23 +11,23 @@ import (
 )
 
 func majorityFactory(n int) counter.Counter {
-	return New(quorum.NewMajority(n), sim.WithTracing())
+	return counter.NewSim(NewMachine(quorum.NewMajority(n)), sim.WithTracing())
 }
 
 func gridFactory(n int) counter.Counter {
-	return New(quorum.NewGrid(n), sim.WithTracing())
+	return counter.NewSim(NewMachine(quorum.NewGrid(n)), sim.WithTracing())
 }
 
 func treeFactory(n int) counter.Counter {
-	return New(quorum.NewTree(n), sim.WithTracing())
+	return counter.NewSim(NewMachine(quorum.NewTree(n)), sim.WithTracing())
 }
 
 func wallFactory(n int) counter.Counter {
-	return New(quorum.NewWall(n), sim.WithTracing())
+	return counter.NewSim(NewMachine(quorum.NewWall(n)), sim.WithTracing())
 }
 
 func singletonFactory(n int) counter.Counter {
-	return New(quorum.NewSingleton(n), sim.WithTracing())
+	return counter.NewSim(NewMachine(quorum.NewSingleton(n)), sim.WithTracing())
 }
 
 func TestConformanceMajority(t *testing.T) {
@@ -59,7 +59,7 @@ func TestMessagesPerOp(t *testing.T) {
 	// plus 2 per write: 4·|Q \ {p}|. Processor p's first operation uses
 	// quorum index p-1 (a strictly local choice).
 	sys := quorum.NewMajority(9) // quorum size 5
-	c := New(sys)
+	c := newSim(sys)
 	p := sim.ProcID(7)
 	q := sys.Quorum(int(p) - 1) // {7,8,9,1,2}
 	remote := 0
@@ -83,7 +83,7 @@ func TestLocalQuorumChoiceRotates(t *testing.T) {
 	// Successive operations by the SAME processor advance its local
 	// rotation: indices p-1, p-1+n, p-1+2n, ...
 	sys := quorum.NewMajority(5)
-	c := New(sys)
+	c := newSim(sys)
 	if _, err := c.Inc(2); err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +136,16 @@ func TestTreeQuorumRootHotSpot(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if got := New(quorum.NewGrid(9)).Name(); got != "quorum-grid" {
+	if got := newSim(quorum.NewGrid(9)).Name(); got != "quorum-grid" {
 		t.Fatalf("name = %q", got)
 	}
 }
 
 func TestSystemAccessor(t *testing.T) {
 	sys := quorum.NewWall(10)
-	c := New(sys)
-	if c.System().Name() != "wall" || c.System().N() != 10 {
-		t.Fatal("System() does not return the configured quorum system")
+	c := newSim(sys)
+	if c.Net().Protocol().(*proto).sys.Name() != "wall" || c.Net().Protocol().(*proto).sys.N() != 10 {
+		t.Fatal("protocol does not keep the configured quorum system")
 	}
 }
 
@@ -180,4 +180,8 @@ func TestStaleWriteIgnored(t *testing.T) {
 	if r.val != 9 || r.ver != 9 {
 		t.Fatalf("stale write regressed replica to %+v", *r)
 	}
+}
+
+func newSim(sys quorum.System) *counter.Sim {
+	return counter.NewSim(NewMachine(sys))
 }

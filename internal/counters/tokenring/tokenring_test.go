@@ -10,7 +10,7 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return New(n, sim.WithTracing())
+	return counter.NewSim(NewMachine(n), sim.WithTracing())
 }
 
 func TestConformance(t *testing.T) {
@@ -22,12 +22,12 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestTokenMoves(t *testing.T) {
-	c := New(8)
+	c := counter.NewSim(NewMachine(8))
 	if _, err := c.Inc(5); err != nil {
 		t.Fatal(err)
 	}
-	if c.Holder() != 5 {
-		t.Fatalf("holder = %v, want 5", c.Holder())
+	if holder(c) != 5 {
+		t.Fatalf("holder = %v, want 5", holder(c))
 	}
 	// Request 1 msg + hops 1->2->3->4->5 = 4 token messages.
 	if got := c.Net().MessagesTotal(); got != 5 {
@@ -36,7 +36,7 @@ func TestTokenMoves(t *testing.T) {
 }
 
 func TestSelfIncIsFree(t *testing.T) {
-	c := New(8)
+	c := counter.NewSim(NewMachine(8))
 	if v, err := c.Inc(1); err != nil || v != 0 {
 		t.Fatalf("Inc(1) = %d, %v", v, err)
 	}
@@ -46,15 +46,15 @@ func TestSelfIncIsFree(t *testing.T) {
 }
 
 func TestRingWrapAround(t *testing.T) {
-	c := New(4)
+	c := counter.NewSim(NewMachine(4))
 	if _, err := c.Inc(3); err != nil { // token 1 -> 2 -> 3
 		t.Fatal(err)
 	}
 	if _, err := c.Inc(2); err != nil { // token 3 -> 4 -> 1 -> 2 (wraps)
 		t.Fatal(err)
 	}
-	if c.Holder() != 2 {
-		t.Fatalf("holder = %v, want 2", c.Holder())
+	if holder(c) != 2 {
+		t.Fatalf("holder = %v, want 2", holder(c))
 	}
 }
 
@@ -63,7 +63,7 @@ func TestRingWrapAround(t *testing.T) {
 // still Θ(n) over the canonical workload.
 func TestLoadSpreadButHigh(t *testing.T) {
 	const n = 32
-	c := New(n)
+	c := counter.NewSim(NewMachine(n))
 	if _, err := counter.RunSequence(c, counter.RandomOrder(n, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,10 @@ func TestLoadSpreadButHigh(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(2).Name() != "tokenring" {
+	if counter.NewSim(NewMachine(2)).Name() != "tokenring" {
 		t.Fatal("wrong name")
 	}
 }
+
+// holder reads the current token holder from the hosted protocol.
+func holder(c *counter.Sim) sim.ProcID { return c.Net().Protocol().(*proto).holder }

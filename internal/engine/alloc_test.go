@@ -55,7 +55,7 @@ func TestAlgorithmAllocCeilings(t *testing.T) {
 		"cnet-periodic":    1,   // 0.51
 		"combining":        1.5, // 0.76
 		"css-sample":       0.5, // 0.24
-		"ctree":            4.5, // 2.26
+		"ctree":            2.5, // 1.26
 		"difftree":         0.6, // 0.27
 		"gxu-threshold":    0.5, // 0.24
 		"quorum-grid":      6,   // 3.01

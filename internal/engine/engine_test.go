@@ -267,11 +267,7 @@ func TestCombiningActuallyCombines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, ok := c.(*combining.Counter)
-	if !ok {
-		t.Fatalf("combining counter has type %T", c)
-	}
-	if cb.Combined() == 0 {
+	if combining.Combined(c.Net().Protocol()) == 0 {
 		t.Fatal("no requests combined despite simultaneous arrivals and a window")
 	}
 	// A merged op still has to wait for the batch round trip: its latency
@@ -301,8 +297,7 @@ func TestDifftreeActuallyDiffracts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt := c.(*difftree.Counter)
-	if dt.Diffracted() == 0 {
+	if difftree.Diffracted(c.Net().Protocol()) == 0 {
 		t.Fatal("no tokens diffracted despite simultaneous arrivals and a window")
 	}
 	if res.Ops != 64 {

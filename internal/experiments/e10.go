@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"distcount/internal/counter"
 	"distcount/internal/counters/combining"
 	"distcount/internal/counters/difftree"
 	"distcount/internal/loadstat"
@@ -66,21 +67,16 @@ type E10Row struct {
 // E10Combining runs n simultaneous operations on a combining tree with the
 // given window.
 func E10Combining(n int, window int64) (E10Row, error) {
-	c := combining.New(n, combining.WithWindow(window))
-	for p := 1; p <= n; p++ {
-		c.Start(0, sim.ProcID(p))
-	}
-	if err := c.Net().Run(); err != nil {
-		return E10Row{}, err
-	}
-	distinct, err := distinctValues(n, func(p sim.ProcID) (int, bool) { return c.ValueOf(p) })
+	c := counter.NewSim(combining.NewMachine(n, combining.WithWindow(window)))
+	distinct, err := runSimultaneous(c)
 	if err != nil {
 		return E10Row{}, err
 	}
+	pr := c.Net().Protocol()
 	return E10Row{
 		Window:   window,
-		RootLoad: c.Net().Load(c.RootHost()),
-		Merged:   c.Combined(),
+		RootLoad: c.Net().Load(combining.RootHost(pr)),
+		Merged:   combining.Combined(pr),
 		Total:    c.Net().MessagesTotal(),
 		Distinct: distinct,
 	}, nil
@@ -89,30 +85,36 @@ func E10Combining(n int, window int64) (E10Row, error) {
 // E10Difftree runs n simultaneous operations on a diffracting tree with the
 // given prism window.
 func E10Difftree(n int, window int64) (E10Row, error) {
-	c := difftree.New(n, difftree.WithWidth(8), difftree.WithWindow(window))
-	for p := 1; p <= n; p++ {
-		c.Start(0, sim.ProcID(p))
-	}
-	if err := c.Net().Run(); err != nil {
-		return E10Row{}, err
-	}
-	distinct, err := distinctValues(n, func(p sim.ProcID) (int, bool) { return c.ValueOf(p) })
+	c := counter.NewSim(difftree.NewMachine(n, difftree.WithWidth(8), difftree.WithWindow(window)))
+	distinct, err := runSimultaneous(c)
 	if err != nil {
 		return E10Row{}, err
 	}
+	pr := c.Net().Protocol()
 	return E10Row{
 		Window:   window,
-		RootLoad: c.RootToggles(),
-		Merged:   c.Diffracted(),
+		RootLoad: difftree.RootToggles(pr),
+		Merged:   difftree.Diffracted(pr),
 		Total:    c.Net().MessagesTotal(),
 		Distinct: distinct,
 	}, nil
 }
 
-func distinctValues(n int, valueOf func(sim.ProcID) (int, bool)) (bool, error) {
-	seen := make([]bool, n)
+// runSimultaneous starts one operation per processor at t=0, runs the
+// network to quiescence and reports whether the values are exactly 0..n-1.
+func runSimultaneous(c *counter.Sim) (bool, error) {
+	n := c.N()
+	ids := make([]sim.OpID, n)
 	for p := 1; p <= n; p++ {
-		v, ok := valueOf(sim.ProcID(p))
+		ids[p-1] = c.Start(0, sim.ProcID(p))
+	}
+	if err := c.Net().Run(); err != nil {
+		return false, err
+	}
+	seen := make([]bool, n)
+	for i, id := range ids {
+		p := i + 1
+		v, ok := c.OpValue(id)
 		if !ok {
 			return false, fmt.Errorf("processor %d received no value", p)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"distcount/internal/core"
+	"distcount/internal/counter"
 	"distcount/internal/counters/cnet"
 	"distcount/internal/sim"
 	"distcount/internal/verify"
@@ -84,14 +85,14 @@ func E13ScriptedCNet() (violated bool, values []int, err error) {
 	// Stall the exit messages of the 1st and 3rd tokens (A and C) so their
 	// wire-counter reads happen long after E completes.
 	lat := sim.NewStallKindLatency(100, map[string][]int{"exit": {0, 2}})
-	c := cnet.New(5, cnet.WithWidth(2), cnet.WithSimOptions(sim.WithLatency(lat)))
-	ops, procs := scheduleABCDE(func(at int64, p sim.ProcID) sim.OpID { return c.Start(at, p) })
+	c := counter.NewSim(cnet.NewMachine(5, cnet.WithWidth(2)), sim.WithLatency(lat))
+	ops, procs := scheduleABCDE(c.Start)
 	if err := c.Net().Run(); err != nil {
 		return false, nil, err
 	}
 	values = make([]int, len(procs))
 	for i, p := range procs {
-		v, ok := c.ValueOf(p)
+		v, ok := c.OpValue(ops[i])
 		if !ok {
 			return false, nil, fmt.Errorf("cnet scripted: processor %d got no value", p)
 		}
@@ -187,8 +188,8 @@ func e13TreeSweep(n, seeds int) (violations, quiescent int, err error) {
 // e13CNetSweep is the counting-network counterpart.
 func e13CNetSweep(n, seeds int) (violations, quiescent int, err error) {
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		c := cnet.New(n, cnet.WithWidth(8), cnet.WithSimOptions(
-			sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 9})))
+		c := counter.NewSim(cnet.NewMachine(n, cnet.WithWidth(8)),
+			sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 9}))
 		ops := make([]sim.OpID, 0, n)
 		procs := make([]sim.ProcID, 0, n)
 		for p := 1; p <= n; p++ {
@@ -200,7 +201,7 @@ func e13CNetSweep(n, seeds int) (violations, quiescent int, err error) {
 		}
 		values := make([]int, len(procs))
 		for i, p := range procs {
-			v, ok := c.ValueOf(p)
+			v, ok := c.OpValue(ops[i])
 			if !ok {
 				return 0, 0, fmt.Errorf("cnet: processor %d got no value (seed %d)", p, seed)
 			}

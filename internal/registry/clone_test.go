@@ -9,11 +9,6 @@ import (
 	"distcount/internal/sim"
 )
 
-// cloneAlgos are the protocols whose payloads, batches and op records are
-// recycled per processor: a clone that shared any of them with its
-// original would corrupt the original's messages in flight.
-var cloneAlgos = []string{"combining", "cnet", "quorum-majority"}
-
 const cloneN = 27
 
 // startWave starts one operation per initiator, staggered over spread
@@ -88,8 +83,11 @@ func mustRun(t *testing.T, c counter.Valued) {
 // already held). Network.Clone requires quiescence, so the clone is taken
 // between the waves; the second waves are in flight on both networks at
 // once. Each network must reproduce an uncloned reference run exactly.
+// Every algorithm runs: payload arenas, batch free lists and op records
+// are per-processor state a clone must not share, and the simulator host
+// must rebind Initiate and Value to the cloned protocol.
 func TestCloneIndependence(t *testing.T) {
-	for _, algo := range cloneAlgos {
+	for _, algo := range registry.Names() {
 		t.Run(algo, func(t *testing.T) {
 			cfg := registry.Concurrent()
 			reference := func(spread int) fingerprint {
@@ -152,7 +150,7 @@ func TestLossDupFingerprint(t *testing.T) {
 		"cnet":            {values: 26, digest: 0x5eeb8d0e4b95e7a3, msgs: 445, maxLoad: 39, lost: 3, dups: 25},
 		"quorum-majority": {values: 25, digest: 0xcbbcffcc2b7e2876, msgs: 1485, maxLoad: 118, lost: 13, dups: 76},
 	}
-	for _, algo := range cloneAlgos {
+	for _, algo := range []string{"combining", "cnet", "quorum-majority"} {
 		t.Run(algo, func(t *testing.T) {
 			cfg := registry.Concurrent(sim.WithFaults(sim.FaultPlan{Seed: 7, Loss: 0.01, Dup: 0.05}))
 			c := mustValued(t, algo, cfg)

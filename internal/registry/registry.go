@@ -2,13 +2,13 @@
 // implementation in the repository, used by the command-line tools and the
 // experiment harness to iterate over algorithms uniformly.
 //
-// There is one factory path: every registered algorithm builds as a
-// counter.Async (all implementations keep per-initiator operation state via
-// counter.Ops), and a single Config selects the construction regime —
-// sequential (combining/diffraction windows closed, ctree lemma
-// instrumentation on) or concurrent (windows open so request merging
-// engages, instrumentation off because its per-operation accounting assumes
-// the paper's sequential model). NewWith(name, n, Concurrent()) and
+// Every algorithm is one constructor: its counter.Machine, the protocol
+// state machine plus the hooks to drive and read it. NewWith hosts that
+// Machine on the selected backend — counter.NewSim on the discrete-event
+// simulator, rt.New on goroutines — so both backends run the identical
+// protocol code. A single Config selects the construction regime:
+// sequential (combining/diffraction windows closed) or concurrent (windows
+// open so request merging engages). NewWith(name, n, Concurrent()) and
 // NewWith(name, n, Sequential()) are the two idiomatic calls; New is the
 // sequential shorthand kept for the paper-model tools.
 package registry
@@ -41,19 +41,14 @@ type Config struct {
 	// window). Zero keeps the windows closed — the sequential regime, in
 	// which nothing ever merges.
 	Window int64
-	// Checks enables the ctree lemma instrumentation, whose per-operation
-	// windows assume the sequential model; concurrent construction must
-	// leave it off.
-	Checks bool
 	// SimOpts are forwarded to the underlying network.
 	SimOpts []sim.Option
 	// Backend selects the execution backend: "" or "sim" builds the
 	// discrete-event simulator (deterministic, simulated time); "rt" builds
 	// the goroutine-per-processor real-hardware runtime (internal/rt),
 	// which runs the identical protocol state machine on real cores with
-	// wall-clock time. The rt backend ignores SimOpts and Checks (the ctree
-	// lemma instrumentation assumes the sequential simulated model); its
-	// analogs of the service-time options are RTService and RTTick.
+	// wall-clock time. The rt backend ignores SimOpts; its analogs of the
+	// service-time options are RTService and RTTick.
 	Backend string
 	// RTTick is the rt backend's wall-clock duration of one simulated tick
 	// (protocol delays and service costs are written in ticks on both
@@ -77,13 +72,13 @@ type Config struct {
 }
 
 // Sequential returns the construction regime of the paper's model: windows
-// closed, instrumentation on.
+// closed.
 func Sequential(simOpts ...sim.Option) Config {
-	return Config{Checks: true, SimOpts: simOpts}
+	return Config{SimOpts: simOpts}
 }
 
 // Concurrent returns the construction regime of the workload engine:
-// combining/diffraction windows open at DefaultWindow, instrumentation off.
+// combining/diffraction windows open at DefaultWindow.
 func Concurrent(simOpts ...sim.Option) Config {
 	return Config{Window: DefaultWindow, SimOpts: simOpts}
 }
@@ -101,18 +96,11 @@ func Concurrent(simOpts ...sim.Option) Config {
 // measured sweet spot.
 const DefaultWindow = 16
 
-// Factory builds a counter for (at least) n processors in the regime the
-// config selects. The returned counter's N() may exceed n for algorithms
-// with structural size constraints (the paper's tree).
-type Factory func(n int, cfg Config) counter.Async
-
 // algorithm is one registry entry: the constructor plus the metadata the
 // study layer keys on.
 type algorithm struct {
-	build Factory
-	// machine builds the backend-independent protocol descriptor the rt
-	// backend wraps in goroutines — the same state machine build wires into
-	// a simulated network.
+	// machine builds the backend-independent protocol descriptor that
+	// NewWith hosts on the selected backend.
 	machine func(n int, cfg Config) counter.Machine
 	// windowed marks the constructions that consume Config.Window — the
 	// request-merging schemes, whose capacity is set by how many concurrent
@@ -129,65 +117,38 @@ type algorithm struct {
 // documentation in the README's "algorithms" section.
 func algorithms() map[string]algorithm {
 	quorumEntry := func(sys func(n int) quorum.System) algorithm {
-		return algorithm{
-			build: func(n int, cfg Config) counter.Async {
-				return quorumctr.New(sys(n), cfg.SimOpts...)
-			},
-			machine: func(n int, cfg Config) counter.Machine {
-				return quorumctr.NewMachine(sys(n))
-			},
-		}
+		return algorithm{machine: func(n int, _ Config) counter.Machine {
+			return quorumctr.NewMachine(sys(n))
+		}}
 	}
 	return map[string]algorithm{
-		"central": {build: func(n int, cfg Config) counter.Async {
-			return central.New(n, central.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
+		"central": {machine: func(n int, _ Config) counter.Machine {
 			return central.NewMachine(n)
 		}},
-		"tokenring": {build: func(n int, cfg Config) counter.Async {
-			return tokenring.New(n, cfg.SimOpts...)
-		}, machine: func(n int, cfg Config) counter.Machine {
+		"tokenring": {machine: func(n int, _ Config) counter.Machine {
 			return tokenring.NewMachine(n)
 		}},
-		"ctree": {build: func(n int, cfg Config) counter.Async {
-			opts := []core.Option{core.WithSimOptions(cfg.SimOpts...)}
-			if !cfg.Checks {
-				opts = append(opts, core.WithoutChecks())
-			}
-			return core.NewForSize(n, opts...)
-		}, machine: func(n int, cfg Config) counter.Machine {
+		"ctree": {machine: func(n int, _ Config) counter.Machine {
 			return core.NewMachine(n)
 		}},
-		"combining": {windowed: true, build: func(n int, cfg Config) counter.Async {
-			return combining.New(n, combining.WithWindow(cfg.Window), combining.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
+		"combining": {windowed: true, machine: func(n int, cfg Config) counter.Machine {
 			return combining.NewMachine(n, combining.WithWindow(cfg.Window))
 		}},
-		"cnet": {build: func(n int, cfg Config) counter.Async {
-			return cnet.New(n, cnet.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
+		"cnet": {machine: func(n int, _ Config) counter.Machine {
 			return cnet.NewMachine(n)
 		}},
-		"cnet-periodic": {build: func(n int, cfg Config) counter.Async {
-			return cnet.New(n, cnet.WithConstruction(cnet.Periodic), cnet.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
+		"cnet-periodic": {machine: func(n int, _ Config) counter.Machine {
 			return cnet.NewMachine(n, cnet.WithConstruction(cnet.Periodic))
 		}},
-		"difftree": {windowed: true, build: func(n int, cfg Config) counter.Async {
-			return difftree.New(n, difftree.WithWindow(cfg.Window), difftree.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
+		"difftree": {windowed: true, machine: func(n int, cfg Config) counter.Machine {
 			return difftree.NewMachine(n, difftree.WithWindow(cfg.Window))
 		}},
 		"gxu-threshold": {approx: true, defaultEps: approx.DefaultEpsilonThreshold,
-			build: func(n int, cfg Config) counter.Async {
-				return approx.NewThreshold(n, approx.WithEpsilon(cfg.Epsilon), approx.WithSimOptions(cfg.SimOpts...))
-			}, machine: func(n int, cfg Config) counter.Machine {
+			machine: func(n int, cfg Config) counter.Machine {
 				return approx.NewThresholdMachine(n, approx.WithEpsilon(cfg.Epsilon))
 			}},
 		"css-sample": {approx: true, defaultEps: approx.DefaultEpsilonSample,
-			build: func(n int, cfg Config) counter.Async {
-				return approx.NewSample(n, approx.WithEpsilon(cfg.Epsilon), approx.WithSimOptions(cfg.SimOpts...))
-			}, machine: func(n int, cfg Config) counter.Machine {
+			machine: func(n int, cfg Config) counter.Machine {
 				return approx.NewSampleMachine(n, approx.WithEpsilon(cfg.Epsilon))
 			}},
 		"quorum-singleton": quorumEntry(func(n int) quorum.System { return quorum.NewSingleton(n) }),
@@ -275,9 +236,10 @@ func WindowSensitiveNames() []string {
 }
 
 // NewWith builds the named counter over (at least) n processors in the
-// regime the config selects. This is the single construction path: pass
-// Concurrent() for workload-engine use (merging windows open,
-// instrumentation off) or Sequential() for the paper's model.
+// regime the config selects, hosting the algorithm's Machine on the
+// selected backend. This is the single construction path: pass
+// Concurrent() for workload-engine use (merging windows open) or
+// Sequential() for the paper's model.
 func NewWith(name string, n int, cfg Config) (counter.Async, error) {
 	a, ok := algorithms()[name]
 	if !ok {
@@ -285,10 +247,11 @@ func NewWith(name string, n int, cfg Config) (counter.Async, error) {
 	}
 	switch cfg.Backend {
 	case "", "sim":
+		opts := cfg.SimOpts
 		if cfg.Faults != nil {
-			cfg.SimOpts = append(cfg.SimOpts[:len(cfg.SimOpts):len(cfg.SimOpts)], sim.WithFaults(*cfg.Faults))
+			opts = append(opts[:len(opts):len(opts)], sim.WithFaults(*cfg.Faults))
 		}
-		return a.build(n, cfg), nil
+		return counter.NewSim(a.machine(n, cfg), opts...), nil
 	case "rt":
 		var opts []rt.Option
 		if cfg.RTTick > 0 {
@@ -306,7 +269,7 @@ func NewWith(name string, n int, cfg Config) (counter.Async, error) {
 }
 
 // NewMachine builds the named algorithm's backend-independent protocol
-// descriptor — the state machine both backends wrap. Window-sensitive
+// descriptor — the state machine both backends host. Window-sensitive
 // algorithms consume cfg.Window exactly as in NewWith.
 func NewMachine(name string, n int, cfg Config) (counter.Machine, error) {
 	a, ok := algorithms()[name]
@@ -317,7 +280,7 @@ func NewMachine(name string, n int, cfg Config) (counter.Machine, error) {
 }
 
 // New builds the named counter in the sequential regime of the paper's
-// model (windows closed, ctree instrumentation on).
+// model (windows closed).
 func New(name string, n int, simOpts ...sim.Option) (counter.Counter, error) {
 	return NewWith(name, n, Sequential(simOpts...))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"distcount/internal/counter"
 	"distcount/internal/counters/central"
 	"distcount/internal/rng"
 	"distcount/internal/sim"
@@ -126,7 +127,7 @@ func TestLinearizableMatchesBruteForce(t *testing.T) {
 }
 
 func TestCollectTimedValues(t *testing.T) {
-	c := central.New(4)
+	c := counter.NewSim(central.NewMachine(4))
 	ids := make([]sim.OpID, 0, 2)
 	values := make([]int, 0, 2)
 	for _, p := range []sim.ProcID{2, 3} {
@@ -154,7 +155,7 @@ func TestCollectTimedValues(t *testing.T) {
 }
 
 func TestCollectTimedValuesErrors(t *testing.T) {
-	c := central.New(4)
+	c := counter.NewSim(central.NewMachine(4))
 	if _, err := CollectTimedValues(c.Net(), []sim.OpID{1}, []int{0, 1}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
