@@ -153,7 +153,6 @@ import (
 	"distcount/internal/engine"
 	"distcount/internal/engine/report"
 	"distcount/internal/registry"
-	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
@@ -600,9 +599,9 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 }
 
 // runOne builds a fresh counter and scenario and executes a single engine
-// run on the selected backend: the discrete-event simulator (engine.Run)
-// or the goroutine-per-processor rt runtime (engine.RunWall). Keyed options
-// route through the sharded service layer instead (keyed.go).
+// run on the selected backend: the discrete-event simulator or the
+// goroutine-per-processor rt runtime (engine.Run drives either). Keyed
+// options route through the sharded service layer instead (keyed.go).
 func runOne(opt options, algo, scenario string) (*engine.Result, error) {
 	if opt.keyed() {
 		return runOneKeyed(opt, algo, scenario)
@@ -664,9 +663,6 @@ func runOne(opt options, algo, scenario string) (*engine.Result, error) {
 	}
 	if ecfg.Warmup < 0 {
 		ecfg.Warmup = genOps(scenario, opt.ops, c.N()) / 10
-	}
-	if r, ok := c.(*rt.Runtime); ok {
-		return engine.RunWall(r, gen, ecfg)
 	}
 	return engine.Run(c, gen, ecfg)
 }

@@ -64,7 +64,7 @@ type (
 	ScenarioConfig = workload.Config
 	// WorkloadConfig tunes the load driver: admission mode (closed- or
 	// open-loop), in-flight window, admission-queue bound, warmup, series
-	// sampling, and the saturation-knee detection knobs.
+	// sampling, and the saturation-knee bucket count.
 	WorkloadConfig = engine.Config
 	// WorkloadMode selects the driver's admission discipline: ClosedLoop
 	// throttles admission to completions, OpenLoop admits every request at
@@ -281,7 +281,9 @@ func NewScenario(name string, cfg ScenarioConfig) (Scenario, error) {
 // engine in the configured admission mode (closed loop by default) and
 // reports throughput, latency percentiles split into queueing delay and
 // service latency, the measured-window load summary, and the
-// bottleneck-load time series, all in simulated time. Open-loop runs
+// bottleneck-load time series — in simulated time for a counter on the
+// simulator, in wall-clock nanoseconds and operations per second for one
+// built WithBackend("rt") (WorkloadReport.Wall). Open-loop runs
 // additionally report per-rate-bucket statistics and the saturation knee.
 // With WorkloadConfig.Verify set, every completed operation's value is
 // checked against the algorithm's claimed consistency level and the

@@ -129,6 +129,33 @@ func TestIncOutOfRangeIsAnError(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadOnRTBackend: RunWorkload drives the counter New builds on
+// the rt backend, in real time, and reports wall-clock units.
+func TestRunWorkloadOnRTBackend(t *testing.T) {
+	for _, mode := range []distcount.WorkloadMode{distcount.ClosedLoop, distcount.OpenLoop} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c, err := distcount.New("combining", 8, distcount.InConcurrentRegime(), distcount.WithBackend("rt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := distcount.NewScenario("uniform", distcount.ScenarioConfig{N: c.N(), Ops: 100, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := distcount.RunWorkload(c, sc, distcount.WorkloadConfig{Mode: mode, InFlight: 4, Verify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Wall || rep.TickNs <= 0 || rep.Ops != 100 {
+				t.Fatalf("wall/tick/ops = %v/%d/%d, want a 100-op wall-clock report", rep.Wall, rep.TickNs, rep.Ops)
+			}
+			if rep.Verification == nil || rep.Verification.Violations != 0 {
+				t.Fatalf("verification failed: %+v", rep.Verification)
+			}
+		})
+	}
+}
+
 func TestBoundHelpers(t *testing.T) {
 	if distcount.SolveK(81) != 3 || distcount.SizeFor(3) != 81 {
 		t.Fatal("bound arithmetic broken")

@@ -28,9 +28,15 @@
 // message load becomes a throughput ceiling, and the open-loop ramp makes
 // the paper's prediction observable as a saturation point.
 //
-// Everything runs on the single-threaded discrete-event simulator, so runs
-// are exactly reproducible for a fixed scenario seed: "concurrent" means
-// concurrent in simulated time, not goroutines.
+// Each discipline is one loop, written once against a small substrate: a
+// clock, a start call, a step to the next event or completion before a
+// deadline, and the load and fault counters. Four adapters implement it: a
+// counter on the single-threaded discrete-event simulator, a counter on the
+// goroutine-per-processor rt runtime, and the multi-key countersvc service
+// on either backend. Simulator runs are exactly reproducible for a fixed
+// scenario seed — "concurrent" means concurrent in simulated time — while rt
+// runs pace the same scenario in real time and report wall-clock units
+// (Result.Wall).
 //
 // See docs/ARCHITECTURE.md for how the engine sits between the scenario
 // generators (internal/workload) and the exporters (internal/engine/report),
@@ -39,13 +45,13 @@ package engine
 
 import (
 	"fmt"
-	"math"
-	"slices"
+	"strings"
 	"time"
 
 	"distcount/internal/counter"
 	"distcount/internal/countersvc"
 	"distcount/internal/loadstat"
+	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/verify"
 	"distcount/internal/workload"
@@ -120,10 +126,6 @@ type Config struct {
 	// KneeBuckets is the number of arrival-ordered buckets the open-loop
 	// saturation analysis divides the run into (default 16).
 	KneeBuckets int
-	// KneeFactor is the saturation threshold: a bucket whose p99 latency
-	// reaches KneeFactor times the baseline bucket's p99 marks the knee
-	// (default 4).
-	KneeFactor float64
 	// Verify enables post-run value-correctness checking: every completed
 	// operation's delivered value is collected and evaluated against the
 	// algorithm's claimed consistency level (linearizability for
@@ -133,14 +135,14 @@ type Config struct {
 	// Result.Verification. Requires a counter.Valued implementation — every
 	// algorithm in this repository qualifies.
 	Verify bool
-	// WedgeIdle is the wall-clock drivers' stall timeout once a fault has
-	// fired (default 2s): a run whose fault plan has destroyed events may
+	// WedgeIdle is the wall-clock stall timeout once a fault has fired
+	// (default 2s): a run whose fault plan has destroyed events may
 	// legitimately never complete its in-flight operations, so after the
-	// first fault event the drivers wait only this long for further
+	// first fault event an rt run waits only this long for further
 	// completions before declaring the remainder wedged. Fault-free wall
 	// runs keep the generous 30s stall timeout (a stall there is a driver
-	// error, not a wedge). Ignored by the simulator drivers, which detect a
-	// wedge by running out of events.
+	// error, not a wedge). Ignored on the simulator, which detects a wedge
+	// by running out of events.
 	WedgeIdle time.Duration
 }
 
@@ -157,9 +159,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.KneeBuckets < 2 {
 		cfg.KneeBuckets = 16
 	}
-	if cfg.KneeFactor <= 1 {
-		cfg.KneeFactor = 4
-	}
 	if cfg.WedgeIdle <= 0 {
 		cfg.WedgeIdle = 2 * time.Second
 	}
@@ -168,8 +167,9 @@ func (cfg Config) withDefaults() Config {
 
 // Sample is one point of the bottleneck-load time series, taken after a
 // completion. Loads are cumulative since the start of the run (the paper's
-// m_p is monotone); sampling costs O(1) via the simulator's incremental
-// max-load tracker.
+// m_p is monotone). A single simulated network samples in O(1) through its
+// incremental max-load tracker; rt runtimes and services scan their
+// per-processor loads.
 type Sample struct {
 	// SimTime is the simulated time of the completion that triggered the
 	// sample.
@@ -306,14 +306,15 @@ type Result struct {
 	// renderers treat keyed runs uniformly.
 	KeyedVerification *verify.KeyedReport `json:"keyed_verification,omitempty"`
 	// Wall reports that the run executed on the real-hardware rt backend
-	// (RunWall). In wall mode every time-valued field — SimTime,
-	// MeasureStart, the latency digests, Series times, bucket spans — is in
-	// wall-clock nanoseconds instead of simulated ticks, and every rate —
-	// Throughput, the buckets' and knee's OfferedRate — is in operations
-	// per second instead of operations per tick. TickNs records the wall
-	// duration of one simulated tick the backend was configured with, the
-	// conversion factor for comparing against a sim-backend run of the same
-	// cell (1 op/tick predicts 1e9/TickNs ops/sec).
+	// (an rt runtime, or a service whose shards are). In wall mode every
+	// time-valued field — SimTime, MeasureStart, the latency digests,
+	// Series times, bucket spans — is in wall-clock nanoseconds instead of
+	// simulated ticks, and every rate — Throughput, the buckets' and knee's
+	// OfferedRate — is in operations per second instead of operations per
+	// tick. TickNs records the wall duration of one simulated tick the
+	// backend was configured with, the conversion factor for comparing
+	// against a sim-backend run of the same cell (1 op/tick predicts
+	// 1e9/TickNs ops/sec).
 	Wall   bool  `json:"wall,omitempty"`
 	TickNs int64 `json:"tick_ns,omitempty"`
 
@@ -322,457 +323,147 @@ type Result struct {
 	Latencies []int64 `json:"-"`
 }
 
+// KeyStat is one key's aggregate outcome in a keyed run.
+type KeyStat struct {
+	Key int `json:"key"`
+	// Shard is the key's final routing (post-migration for a migrated key).
+	Shard int `json:"shard"`
+	// Ops is the key's completed-operation count over the whole run.
+	Ops int `json:"ops"`
+	// MeanLatency is the mean end-to-end latency of the key's measured
+	// operations (0 when none fell inside the measure window).
+	MeanLatency float64 `json:"mean_latency"`
+}
+
+// RateBucket is one arrival-ordered slice of an open-loop run, the unit of
+// the saturation analysis: the run's operations are split into
+// Config.KneeBuckets consecutive groups by arrival, so on a ramp scenario
+// each bucket covers a narrow band of offered rates.
+type RateBucket struct {
+	// Index is the bucket's position (0-based, arrival order).
+	Index int `json:"index"`
+	// StartTime and EndTime delimit the bucket's arrival span in simulated
+	// ticks: StartTime is the bucket's first arrival and EndTime the next
+	// bucket's first arrival (the last bucket, with no successor, ends at
+	// its own last arrival). Half-open spans keep the inter-bucket gaps
+	// inside exactly one bucket, so the spans tile the run.
+	StartTime int64 `json:"start_time"`
+	EndTime   int64 `json:"end_time"`
+	// Arrivals is the number of requests arriving in the bucket, of which
+	// Completed finished and Dropped were shed at the full admission queue.
+	Arrivals  int `json:"arrivals"`
+	Completed int `json:"completed"`
+	Dropped   int `json:"dropped"`
+	// OfferedRate is Arrivals divided by the arrival span — the offered
+	// load in operations per simulated tick.
+	OfferedRate float64 `json:"offered_rate"`
+	// P50 and P99 summarize the end-to-end latency (arrival to completion)
+	// of the bucket's completed operations. Latency is attributed to the
+	// arrival bucket, not the completion bucket, so it lines up with the
+	// offered rate that caused it.
+	P50 float64 `json:"p50"`
+	P99 float64 `json:"p99"`
+	// MaxQueueDepth and MaxBacklog are the deepest admission queue and the
+	// largest in-system population (in flight + queued) observed at the
+	// bucket's arrival instants.
+	MaxQueueDepth int `json:"max_queue_depth"`
+	MaxBacklog    int `json:"max_backlog"`
+}
+
+// Knee is the detected saturation point of an open-loop run: the first
+// rate bucket where the system diverges. Divergence means either end-to-end
+// p99 latency reaching kneeFactor (4) times the baseline bucket's p99
+// ("latency"), or the bounded admission queue overflowing into drops
+// ("queue"). The baseline is the first bucket with enough completions to
+// yield a stable p99.
+type Knee struct {
+	// Bucket indexes Result.Buckets.
+	Bucket int `json:"bucket"`
+	// OfferedRate is the bucket's offered load — the measured saturation
+	// throughput in operations per simulated tick.
+	OfferedRate float64 `json:"offered_rate"`
+	// SimTime is the arrival time at which the knee bucket opened.
+	SimTime int64 `json:"sim_time"`
+	// Reason is "latency" or "queue".
+	Reason string `json:"reason"`
+	// BaselineP99 is the pre-saturation reference p99; P99 the knee
+	// bucket's.
+	BaselineP99 float64 `json:"baseline_p99"`
+	P99         float64 `json:"p99"`
+}
+
 // Run drives the counter with the scenario until the generator is
 // exhausted and every admitted operation has completed, in the mode
-// selected by cfg.
+// selected by cfg. A counter on the simulator runs in simulated ticks; an rt
+// runtime (*rt.Runtime) runs on real goroutines, its scenario paced in real
+// time at the runtime's tick duration, and reports wall-clock units
+// (Result.Wall). Either way the counter must be fresh: the report's time
+// axis, load baselines and series are relative to an unused counter.
 func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-
-	net := c.Net()
-	if net == nil {
-		return nil, fmt.Errorf("engine: counter %q has no simulated network (an rt-backend counter); drive it with RunWall", c.Name())
+	var s substrate
+	var err error
+	if r, ok := c.(*rt.Runtime); ok {
+		s, err = newRTSub(r, cfg.WedgeIdle)
+	} else {
+		s, err = newSimSub(c)
 	}
-	// The report's time axis, load baselines and series are all relative
-	// to a fresh network; a reused counter would silently fold its
-	// previous traffic into every metric.
-	if net.Now() != 0 || net.Ops() != 0 {
-		return nil, fmt.Errorf("engine: counter %q has already run %d ops (t=%d); build a fresh counter per run",
-			c.Name(), net.Ops(), net.Now())
-	}
-	var vf *verifier
-	if cfg.Verify {
-		var err error
-		if vf, err = newVerifier(c); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Mode == Open {
-		return runOpen(c, gen, cfg, vf)
-	}
-	return runClosed(c, gen, cfg, vf)
-}
-
-// source pulls the request stream one ahead, so admission can stop at a
-// busy initiator or a future arrival without losing the request.
-type source struct {
-	gen     workload.Generator
-	n       int
-	keys    int // key-space bound for keyed runs; 0 = unkeyed, keys ignored
-	head    workload.Request
-	have    bool
-	arrival int64 // absolute arrival time of head
-	err     error // sticky: a malformed request stops the stream
-}
-
-func newSource(gen workload.Generator, n int) *source {
-	s := &source{gen: gen, n: n}
-	s.pull()
-	return s
-}
-
-// newKeyedSource additionally validates each request's key against the
-// service's key space.
-func newKeyedSource(gen workload.Generator, n, keys int) *source {
-	s := &source{gen: gen, n: n, keys: keys}
-	s.pull()
-	return s
-}
-
-func (s *source) pull() {
-	req, ok := s.gen.Next()
-	if !ok {
-		s.have = false
-		return
-	}
-	if req.Proc < 1 || int(req.Proc) > s.n {
-		s.err = fmt.Errorf("engine: scenario %q targets processor %v outside [1,%d]",
-			s.gen.Name(), req.Proc, s.n)
-		s.have = false
-		return
-	}
-	if s.keys > 0 && (req.Key < 0 || req.Key >= s.keys) {
-		s.err = fmt.Errorf("engine: scenario %q addresses key %d outside [0,%d)",
-			s.gen.Name(), req.Key, s.keys)
-		s.have = false
-		return
-	}
-	s.arrival += req.Gap
-	s.head, s.have = req, true
-}
-
-// opsHint resolves the expected completion count used to size the per-op
-// metric slices: Config.Ops when set, else the scenario's length hint, else
-// 0 (grow-by-append).
-func opsHint(cfg Config, gen workload.Generator) int {
-	if cfg.Ops > 0 {
-		return cfg.Ops
-	}
-	if sized, ok := gen.(interface{ Len() int }); ok {
-		return sized.Len()
-	}
-	return 0
-}
-
-// resolveStride picks the bottleneck-series sampling stride: from the
-// config, the scenario's length hint, or per-completion sampling thinned
-// after the run.
-func resolveStride(cfg Config, gen workload.Generator) (stride int, thinAfter bool) {
-	if cfg.SampleEvery > 0 {
-		return cfg.SampleEvery, false
-	}
-	if sized, ok := gen.(interface{ Len() int }); ok && sized.Len() > 0 {
-		stride = sized.Len() / 64
-		if stride < 1 {
-			stride = 1
-		}
-		return stride, false
-	}
-	return 1, true
-}
-
-// runClosed is the closed-loop driver.
-func runClosed(c counter.Async, gen workload.Generator, cfg Config, vf *verifier) (*Result, error) {
-	net := c.Net()
-	n := c.N()
-	res := &Result{
-		Algorithm: c.Name(),
-		Scenario:  gen.Name(),
-		Mode:      Closed.String(),
-		N:         n,
-		Warmup:    cfg.Warmup,
-		InFlight:  cfg.InFlight,
-	}
-
-	src := newSource(gen, n)
-	if src.err != nil {
-		return nil, src.err
-	}
-
-	hint := opsHint(cfg, gen)
-	var (
-		busy     = make([]bool, n+1) // one op per initiator in flight
-		timesOf  = make(map[sim.OpID]opTimes, cfg.InFlight)
-		inFlight = 0
-		m        = newRunMetrics(cfg.Warmup, hint)
-		drain    = drainFor(c, vf)
-	)
-	res.Latencies = preallocLatencies(hint, cfg.Warmup)
-
-	// admit starts requests, in arrival order, while a window slot is free
-	// and the head-of-line initiator is idle. Requests whose arrival time
-	// is in the past (the closed loop fell behind) start immediately; the
-	// wait is accounted as queueing delay.
-	admit := func() {
-		for inFlight < cfg.InFlight && src.have && !busy[src.head.Proc] {
-			at := src.arrival
-			if now := net.Now(); at < now {
-				at = now
-			}
-			id := c.Start(at, src.head.Proc)
-			timesOf[id] = opTimes{arrival: src.arrival, start: at}
-			busy[src.head.Proc] = true
-			inFlight++
-			src.pull()
-		}
-	}
-
-	sampleEvery, thinAfter := resolveStride(cfg, gen)
-
-	net.OnOpDone(func(st *sim.OpStats) {
-		inFlight--
-		busy[st.Initiator] = false
-		tm := timesOf[st.ID]
-		delete(timesOf, st.ID)
-		if vf != nil {
-			vf.observe(st)
-		} else if drain != nil {
-			drain.OpValue(st.ID)
-		}
-		net.ForgetOp(st.ID)
-		m.onDone(res, net, cfg.Warmup, st, tm)
-		if m.completed%sampleEvery == 0 {
-			res.Series = append(res.Series, sampleNow(net, n, m.completed, inFlight, 0))
-		}
-		admit()
-	})
-	defer net.OnOpDone(nil)
-
-	admit()
-	if err := net.Run(); err != nil {
-		return nil, fmt.Errorf("engine: %s/%s: %w", res.Algorithm, res.Scenario, err)
-	}
-	if src.err != nil {
-		return nil, src.err
-	}
-	if src.have || inFlight != 0 {
-		if !net.FaultStats().Any() {
-			return nil, fmt.Errorf("engine: %s/%s: driver stalled with %d ops in flight",
-				res.Algorithm, res.Scenario, inFlight)
-		}
-		// Injected faults wedged part of the workload: the in-flight
-		// operations can never complete (a fault destroyed one of their
-		// events) and the requests still behind them were never served.
-		// That is the expected shape of a faulty run — account for it
-		// instead of failing.
-		res.Wedged = inFlight
-		for src.have {
-			res.Unserved++
-			src.pull()
-		}
-		if src.err != nil {
-			return nil, src.err
-		}
-	}
-	if net.FaultsActive() {
-		fs := net.FaultStats()
-		res.Faults = &fs
-	}
-	if err := m.finalize(res, net, cfg.Warmup, thinAfter); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if vf != nil {
-		res.Verification = vf.report(faultContext(res))
+	return drive(s, gen, cfg)
+}
+
+// RunWall is Run for an rt runtime, kept for callers that hold the
+// concrete type.
+func RunWall(r *rt.Runtime, gen workload.Generator, cfg Config) (*Result, error) {
+	return Run(r, gen, cfg)
+}
+
+// RunKeyed drives a multi-key counting service with a keyed scenario until
+// the generator is exhausted and every admitted operation has completed —
+// the service-layer analog of Run. The admission discipline is cfg.Mode's,
+// with one addition: a key frozen for migration drain is held at admission
+// (closed loop: head-of-line; open loop: in its initiator's queue) until
+// the cutover reopens it. The backend follows the service's: shards built
+// on the rt backend are driven in real time and the result is reported in
+// wall units (Result.Wall), sim-backed shards run on the merged
+// deterministic event loop.
+func RunKeyed(svc *countersvc.Service, gen workload.Generator, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	s, err := newServiceSub(svc, cfg.WedgeIdle)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return drive(s, gen, cfg)
 }
 
-// faultContext summarizes a result's fault activity for the verifier.
-func faultContext(res *Result) verify.FaultContext {
-	return verify.FaultContext{
-		Fired:  res.Faults != nil && res.Faults.Any(),
-		Wedged: res.Wedged,
-	}
-}
-
-// drainFor returns the value sink of a run without verification: every
-// counter.Ops table records each completed operation's value until someone
-// consumes it, so if no verifier will, the drivers must read-and-discard
-// per completion — otherwise an unbounded run accumulates one map entry
-// per operation. Nil when the verifier consumes values itself or the
-// counter records none.
-func drainFor(c counter.Async, vf *verifier) counter.Valued {
-	if vf != nil {
-		return nil
-	}
-	d, _ := c.(counter.Valued)
-	return d
-}
-
-// opTimes carries an operation's arrival and injection times between
-// admission and completion.
-type opTimes struct {
-	arrival int64 // scenario arrival time
-	start   int64 // injection time (= arrival unless the op waited)
-}
-
-// runMetrics accumulates the per-completion measurements common to both
-// drivers and derives the result's aggregate fields, so the two admission
-// disciplines cannot drift in what they report.
-type runMetrics struct {
-	completed          int
-	opStarts, opDones  []int64 // activity intervals, for PeakInFlight
-	lastDone           int64
-	measureBegan       bool
-	baseSent, baseRecv []int64 // load snapshot at the warmup boundary
-	queueDelays        []int64
-	serviceLats        []int64
-}
-
-// newRunMetrics sizes the accumulation slices from the expected completion
-// count (0 = grow by append), so a hinted run's metric collection performs
-// no mid-run reallocation.
-func newRunMetrics(warmup, hint int) *runMetrics {
-	// No warmup: measure from t=0 with a zero load baseline.
-	m := &runMetrics{measureBegan: warmup == 0}
-	if hint > 0 {
-		m.opStarts = make([]int64, 0, hint)
-		m.opDones = make([]int64, 0, hint)
-		if meas := hint - warmup; meas > 0 {
-			m.queueDelays = make([]int64, 0, meas)
-			m.serviceLats = make([]int64, 0, meas)
+// serviceLabel names a keyed run's "algorithm": the home-shard algorithm(s)
+// plus the hot shard's, e.g. "svc(central[4]+combining)".
+func serviceLabel(svc *countersvc.Service) string {
+	homes := svc.Algo(0)
+	uniform := true
+	for s := 1; s < svc.BaseShards(); s++ {
+		if svc.Algo(s) != homes {
+			uniform = false
+			break
 		}
 	}
-	return m
-}
-
-// preallocLatencies sizes the result's raw latency vector from the hint
-// (nil when no hint, keeping append-growth semantics).
-func preallocLatencies(hint, warmup int) []int64 {
-	if meas := hint - warmup; hint > 0 && meas > 0 {
-		return make([]int64, 0, meas)
-	}
-	return nil
-}
-
-// onDone records one completion: its activity interval always, and past
-// the warmup boundary its end-to-end latency split into queueing delay
-// (arrival to injection) and service latency (injection to completion).
-func (m *runMetrics) onDone(res *Result, net *sim.Network, warmup int, st *sim.OpStats, tm opTimes) {
-	m.completed++
-	m.opStarts = append(m.opStarts, st.StartedAt)
-	m.opDones = append(m.opDones, st.DoneAt)
-	if st.DoneAt > m.lastDone {
-		m.lastDone = st.DoneAt
-	}
-	if m.completed > warmup {
-		if !m.measureBegan {
-			m.measureBegan = true
-			res.MeasureStart = net.Now()
-			m.baseSent, m.baseRecv = net.Sent(), net.Recv()
-			// The op crossing the boundary is the first measured one.
-		}
-		res.Latencies = append(res.Latencies, st.DoneAt-tm.arrival)
-		m.queueDelays = append(m.queueDelays, tm.start-tm.arrival)
-		m.serviceLats = append(m.serviceLats, st.DoneAt-tm.start)
-	}
-}
-
-// finalize derives the aggregate report fields once the run has drained.
-func (m *runMetrics) finalize(res *Result, net *sim.Network, warmup int, thinAfter bool) error {
-	res.Ops = m.completed
-	res.Measured = len(res.Latencies)
-	if res.Measured == 0 && res.Wedged == 0 {
-		// A wedged run may legitimately complete nothing (every operation
-		// stalled on a destroyed event); its zero latency digests are part
-		// of the measurement. Without faults an empty measure window is a
-		// configuration error.
-		return fmt.Errorf("engine: warmup %d consumed all %d operations", warmup, m.completed)
-	}
-	res.SimTime = m.lastDone
-	res.Messages = net.MessagesTotal()
-	res.PeakInFlight = peakConcurrency(m.opStarts, m.opDones)
-	if thinAfter {
-		res.Series = thinSeries(res.Series, 64)
-	}
-	res.Loads = measuredLoads(net, m.baseSent, m.baseRecv)
-	if res.Measured > 0 {
-		res.MessagesPerOp = float64(res.Loads.TotalMessages) / float64(res.Measured)
-	}
-	res.Arrivals = res.Ops + res.Dropped
-	if res.Arrivals > 0 {
-		res.DropRate = float64(res.Dropped) / float64(res.Arrivals)
-	}
-
-	window := res.SimTime - res.MeasureStart
-	if window < 1 {
-		window = 1
-	}
-	res.Throughput = float64(res.Measured) / float64(window)
-	res.Latency = summarizeLatencies(res.Latencies)
-	res.QueueDelay = summarizeLatencies(m.queueDelays)
-	res.ServiceLatency = summarizeLatencies(m.serviceLats)
-	return nil
-}
-
-// sampleNow takes one O(1) bottleneck-series point from the network's
-// incremental max-load tracker.
-func sampleNow(net *sim.Network, n, completed, inFlight, queueDepth int) Sample {
-	b, l := net.MaxLoad()
-	return Sample{
-		SimTime:        net.Now(),
-		Completed:      completed,
-		Bottleneck:     int(b),
-		BottleneckLoad: l,
-		MeanLoad:       float64(net.SumLoads()) / float64(n),
-		InFlight:       inFlight,
-		QueueDepth:     queueDepth,
-	}
-}
-
-// measuredLoads returns the measure-window load summary: final loads minus
-// the snapshot at the warmup boundary (zero snapshot when there was no
-// warmup).
-func measuredLoads(net *sim.Network, baseSent, baseRecv []int64) loadstat.Summary {
-	sent, recv := net.Sent(), net.Recv()
-	if baseSent != nil {
-		for p := range sent {
-			sent[p] -= baseSent[p]
-			recv[p] -= baseRecv[p]
+	var b strings.Builder
+	b.WriteString("svc(")
+	if uniform {
+		fmt.Fprintf(&b, "%s[%d]", homes, svc.BaseShards())
+	} else {
+		for s := 0; s < svc.BaseShards(); s++ {
+			if s > 0 {
+				b.WriteString(",")
+			}
+			b.WriteString(svc.Algo(s))
 		}
 	}
-	return loadstat.Summarize(sent, recv)
-}
-
-// summarizeLatencies computes the latency digest; it does not modify its
-// argument. The zero digest is returned for an empty vector.
-func summarizeLatencies(lats []int64) LatencyStats {
-	if len(lats) == 0 {
-		return LatencyStats{}
+	if hot := svc.HotShard(); hot >= 0 {
+		fmt.Fprintf(&b, "+%s", svc.Algo(hot))
 	}
-	sorted := append([]int64(nil), lats...)
-	slices.Sort(sorted)
-	var sum float64
-	for _, l := range sorted {
-		sum += float64(l)
-	}
-	return LatencyStats{
-		Mean: sum / float64(len(sorted)),
-		P50:  percentile(sorted, 0.50),
-		P90:  percentile(sorted, 0.90),
-		P99:  percentile(sorted, 0.99),
-		Max:  sorted[len(sorted)-1],
-	}
-}
-
-// percentile interpolates the q-quantile of a sorted vector: the "type 7"
-// estimator (linear interpolation between the order statistics at the two
-// ranks bracketing q·(len−1), the default of R and NumPy) — not the
-// nearest-rank method, which never interpolates.
-func percentile(sorted []int64, q float64) float64 {
-	if len(sorted) == 1 {
-		return float64(sorted[0])
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return float64(sorted[lo])
-	}
-	frac := pos - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
-}
-
-// peakConcurrency sweeps the operations' [start, done] activity intervals
-// and returns the maximum overlap. An operation completing at the same
-// tick another starts is not concurrent with it (the closed loop admits
-// the successor from the completion); a zero-duration operation — one that
-// completes within its own start event — occupies its start tick. The
-// argument slices are left untouched (the caller hands over its live
-// metrics arrays).
-func peakConcurrency(starts, dones []int64) int {
-	starts = append([]int64(nil), starts...)
-	dones = append([]int64(nil), dones...)
-	for i := range dones {
-		if dones[i] == starts[i] {
-			dones[i]++
-		}
-	}
-	slices.Sort(starts)
-	slices.Sort(dones)
-	peak, cur, j := 0, 0, 0
-	for _, s := range starts {
-		for j < len(dones) && dones[j] <= s {
-			cur--
-			j++
-		}
-		cur++
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
-}
-
-// thinSeries keeps at most target points, evenly spaced, always retaining
-// the final point.
-func thinSeries(series []Sample, target int) []Sample {
-	if len(series) <= target || target < 2 {
-		return series
-	}
-	out := make([]Sample, 0, target)
-	step := float64(len(series)-1) / float64(target-1)
-	for i := 0; i < target; i++ {
-		out = append(out, series[int(math.Round(float64(i)*step))])
-	}
-	return out
+	b.WriteString(")")
+	return b.String()
 }

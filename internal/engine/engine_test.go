@@ -2,12 +2,14 @@ package engine
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"distcount/internal/counter"
 	"distcount/internal/counters/combining"
 	"distcount/internal/counters/difftree"
 	"distcount/internal/registry"
+	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
@@ -315,6 +317,63 @@ func TestScenarioOutOfRangeIsAnError(t *testing.T) {
 	}
 }
 
+// backwards yields requests whose second gap is negative, as a caller's
+// own workload.Generator may.
+type backwards struct{ i int }
+
+func (g *backwards) Name() string { return "backwards" }
+
+func (g *backwards) Next() (workload.Request, bool) {
+	g.i++
+	switch g.i {
+	case 1:
+		return workload.Request{Proc: 1, Gap: 10}, true
+	case 2:
+		return workload.Request{Proc: 2, Gap: -8}, true
+	}
+	return workload.Request{}, false
+}
+
+// TestNegativeGapIsAnError: an arrival earlier than its predecessor is a
+// source error naming the scenario in both modes, not a simulator panic
+// (open loop) or a silent clamp (closed loop).
+func TestNegativeGapIsAnError(t *testing.T) {
+	for _, mode := range []Mode{Closed, Open} {
+		_, err := Run(mustAsync(t, "central", 4), &backwards{}, Config{Mode: mode})
+		if err == nil || !strings.Contains(err.Error(), `"backwards"`) || !strings.Contains(err.Error(), "negative gap") {
+			t.Fatalf("mode %v: err = %v, want a negative-gap error naming the scenario", mode, err)
+		}
+	}
+}
+
+// TestRTRuntimeReuseRejected: an rt runtime that already ran, or was
+// closed without running, is rejected with an error instead of panicking
+// in the runtime's Start.
+func TestRTRuntimeReuseRejected(t *testing.T) {
+	build := func() counter.Async {
+		c, err := registry.NewWith("central", 4, registry.Config{Backend: "rt"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	gen := func() workload.Generator {
+		return mustScenario(t, "uniform", workload.Config{N: 4, Ops: 40, Seed: 1})
+	}
+	used := build()
+	if _, err := Run(used, gen(), Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(used, gen(), Config{}); err == nil {
+		t.Fatal("reused runtime accepted")
+	}
+	closed := build().(*rt.Runtime)
+	closed.Close()
+	if _, err := RunWall(closed, gen(), Config{}); err == nil {
+		t.Fatal("closed runtime accepted")
+	}
+}
+
 // TestCounterReuseRejected: the report's time axis and load baselines
 // assume a fresh counter; a second run on the same one must error rather
 // than fold the first run's traffic into its metrics.
@@ -467,7 +526,7 @@ func TestThinSeries(t *testing.T) {
 
 // TestPeakConcurrencyLeavesArgumentsUntouched is the regression test for
 // the in-place mutation bug: peakConcurrency is handed the live
-// runMetrics.opStarts/opDones slices, and used to bump zero-duration dones
+// metrics.opStarts/opDones slices, and used to bump zero-duration dones
 // and sort both arrays in place — corrupting the caller's completion-order
 // data for anyone reading it after finalize.
 func TestPeakConcurrencyLeavesArgumentsUntouched(t *testing.T) {

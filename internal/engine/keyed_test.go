@@ -168,6 +168,22 @@ func TestRunKeyedWall(t *testing.T) {
 	}
 }
 
+// TestRunKeyedRejectsReusedRTService: the first run closes an rt-backed
+// service's shards, so a second run must be an error, not the runtime's
+// Start-after-Close panic.
+func TestRunKeyedRejectsReusedRTService(t *testing.T) {
+	svc := keyedSvc(t, countersvc.Config{Keys: 4, N: 4, Shards: 2, Registry: registry.Config{Backend: "rt"}})
+	gen := func() workload.Generator {
+		return keyedGen(t, workload.Config{N: 4, Ops: 40, Seed: 2, Keys: 4}, "uniform")
+	}
+	if _, err := RunKeyed(svc, gen(), Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunKeyed(svc, gen(), Config{}); err == nil {
+		t.Fatal("reused rt-backed service accepted")
+	}
+}
+
 // TestRunKeyedRejectsBadKey: a request addressing a key outside the
 // service's key space is a sticky source error, not a panic.
 func TestRunKeyedRejectsBadKey(t *testing.T) {

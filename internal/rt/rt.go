@@ -269,6 +269,10 @@ func (r *Runtime) NowNs() int64 { return time.Since(r.start).Nanoseconds() }
 // Ops returns the number of operations started so far.
 func (r *Runtime) Ops() int { return int(atomic.LoadInt64(&r.started)) }
 
+// Closed reports whether Close has been called; a closed runtime accepts no
+// further operations.
+func (r *Runtime) Closed() bool { return atomic.LoadInt32(&r.closed) != 0 }
+
 // MessagesTotal returns the total number of network messages sent so far.
 func (r *Runtime) MessagesTotal() int64 { return atomic.LoadInt64(&r.msgTotal) }
 
