@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go test -bench 'SimulatorEventThroughput|Inc|WorkloadEngine' \
+//	go test -bench 'SimulatorEventThroughput|Inc|WorkloadEngine|Verify' \
 //	    -benchmem -count 3 -benchtime 100x . | benchjson -pr 8 -wall-ms 2100 > BENCH_8.json
 //
 // Benchmark lines repeated by -count N are aggregated by name (mean per

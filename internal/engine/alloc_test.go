@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"distcount/internal/countersvc"
 	"distcount/internal/registry"
 	"distcount/internal/workload"
 )
@@ -83,6 +84,50 @@ func TestAlgorithmAllocCeilings(t *testing.T) {
 			}
 			if got := (allocs(long) - allocs(short)) / (long - short); got > ceiling {
 				t.Errorf("%s allocates %.2f objects per op, ceiling %.2f", algo, got, ceiling)
+			}
+		})
+	}
+}
+
+// TestVerifiedRunAllocCeilings pins the marginal allocation cost per
+// operation of verified runs: value collection plus the post-run
+// verification, on top of the protocol and engine cost that
+// TestAlgorithmAllocCeilings bounds. The closed run is a single central
+// counter; the keyed run spreads uniform keys over 1024 keys on four
+// central shards, so the longer run touches more keys and more
+// (key, epoch) segments than the shorter one, and a verifier that
+// allocates per key or per segment shows up in the difference. Both
+// ceilings are about twice the measured cost.
+func TestVerifiedRunAllocCeilings(t *testing.T) {
+	const short, long = 512, 2048
+	cases := []struct {
+		name    string
+		ceiling float64 // allocs/op, measured cost in the comment
+		run     func(ops int)
+	}{
+		{"closed", 0.2, func(ops int) { // 0.09
+			c := mustAsync(t, "central", 81)
+			gen := mustScenario(t, "uniform", workload.Config{N: c.N(), Ops: ops, Seed: 1})
+			if _, err := Run(c, gen, Config{InFlight: 8, Ops: ops, Verify: true}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"keyed", 0.35, func(ops int) { // 0.18; 4.3 with a map of per-segment slices
+			svc := keyedSvc(t, countersvc.Config{Keys: 1024, N: 16, Shards: 4})
+			gen := keyedGen(t, workload.Config{N: 16, Ops: ops, Seed: 1, Keys: 1024, KeyDist: "uniform", MeanGap: 1}, "uniform")
+			if _, err := RunKeyed(svc, gen, Config{InFlight: 8, Ops: ops, Verify: true}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(ops int) float64 {
+				return testing.AllocsPerRun(2, func() { tc.run(ops) }) // after one warm-up run
+			}
+			got := (allocs(long) - allocs(short)) / (long - short)
+			if got > tc.ceiling {
+				t.Errorf("verified %s run allocates %.2f objects per op, ceiling %.2f", tc.name, got, tc.ceiling)
 			}
 		})
 	}

@@ -90,6 +90,7 @@ func drive(s substrate, gen workload.Generator, cfg Config) (*Result, error) {
 		return nil, src.err
 	}
 	hint := opsHint(cfg, gen)
+	b.vals.reserve(hint, res.Keys > 0)
 	stride, thinAfter := resolveStride(cfg, gen)
 	d := &driver{s: s, src: src, res: res, m: newMetrics(cfg.Warmup, hint, res.Keys), cfg: cfg,
 		stride: stride, busy: make([]bool, res.N+1)}

@@ -114,9 +114,12 @@ func (m *metrics) finalize(s substrate, res *Result, thinAfter bool, rate float6
 
 	window := max(res.SimTime-res.MeasureStart, 1)
 	res.Throughput = float64(res.Measured) / float64(window) * rate
-	res.Latency = summarizeLatencies(m.latencies)
-	res.QueueDelay = summarizeLatencies(m.queueDelays)
-	res.ServiceLatency = summarizeLatencies(m.serviceLats)
+	res.Latency = summarizeLatencies(m.latencies) // res.Latencies keeps completion order
+	// The split vectors are the run's own: sorted in place, not copied.
+	slices.Sort(m.queueDelays)
+	slices.Sort(m.serviceLats)
+	res.QueueDelay = summarizeSorted(m.queueDelays)
+	res.ServiceLatency = summarizeSorted(m.serviceLats)
 
 	if svc := s.base().svc; svc != nil {
 		res.PerKey = make([]KeyStat, svc.Keys())
@@ -167,11 +170,16 @@ func resolveStride(cfg Config, gen workload.Generator) (stride int, thinAfter bo
 // summarizeLatencies computes the latency digest; it does not modify its
 // argument. The zero digest is returned for an empty vector.
 func summarizeLatencies(lats []int64) LatencyStats {
-	if len(lats) == 0 {
+	sorted := slices.Clone(lats)
+	slices.Sort(sorted)
+	return summarizeSorted(sorted)
+}
+
+// summarizeSorted is summarizeLatencies over an already sorted vector.
+func summarizeSorted(sorted []int64) LatencyStats {
+	if len(sorted) == 0 {
 		return LatencyStats{}
 	}
-	sorted := append([]int64(nil), lats...)
-	slices.Sort(sorted)
 	var sum float64
 	for _, l := range sorted {
 		sum += float64(l)
@@ -265,6 +273,9 @@ func bucketize(recs []opRec, buckets int) []RateBucket {
 		buckets = len(recs)
 	}
 	out := make([]RateBucket, 0, buckets)
+	// One latency buffer serves every bucket; a bucket holds at most
+	// ceil(len/buckets) records.
+	lats := make([]int64, 0, (len(recs)+buckets-1)/buckets)
 	for i := 0; i < buckets; i++ {
 		lo := i * len(recs) / buckets
 		hi := (i + 1) * len(recs) / buckets
@@ -282,7 +293,7 @@ func bucketize(recs []opRec, buckets int) []RateBucket {
 			EndTime:   end,
 			Arrivals:  len(group),
 		}
-		var lats []int64
+		lats = lats[:0]
 		for _, r := range group {
 			switch {
 			case r.dropped:
@@ -304,7 +315,8 @@ func bucketize(recs []opRec, buckets int) []RateBucket {
 		}
 		b.OfferedRate = float64(b.Arrivals) / float64(span)
 		if len(lats) > 0 {
-			s := summarizeLatencies(lats)
+			slices.Sort(lats)
+			s := summarizeSorted(lats)
 			b.P50, b.P99 = s.P50, s.P99
 		}
 		out = append(out, b)

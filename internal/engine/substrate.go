@@ -108,6 +108,19 @@ type values struct {
 	missing int
 }
 
+// reserve sizes the kept history from the expected completion count, as
+// newMetrics does the metric slices, so a hinted run collects without
+// reallocating.
+func (v *values) reserve(hint int, keyed bool) {
+	switch {
+	case !v.keep || hint <= 0:
+	case keyed:
+		v.keyed = make([]verify.KeyedValue, 0, hint)
+	default:
+		v.timed = make([]verify.TimedValue, 0, hint)
+	}
+}
+
 func (v *values) collect(d completion, keyed bool) {
 	c := v.shards[d.shard]
 	if c == nil {

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"distcount/internal/counter"
@@ -98,6 +99,12 @@ func Evaluate(g counter.Guarantee, vals []TimedValue, missing int) Report {
 // therefore satisfies "stay correct or visibly stall" exactly when its
 // report shows Violations == 0.
 func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc FaultContext) Report {
+	var s scratch
+	return s.evaluate(g, vals, missing, fc)
+}
+
+// evaluate is EvaluateWithFaults over the caller's scratch buffers.
+func (s *scratch) evaluate(g counter.Guarantee, vals []TimedValue, missing int, fc FaultContext) Report {
 	level := g.Level
 	exactClaim := level == counter.Quiescent || level == counter.Linearizable
 	rep := Report{Property: g.String(), Ops: len(vals), Missing: missing, Wedged: fc.Wedged, FaultsFired: fc.Fired}
@@ -105,19 +112,17 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 	// Exactly-once accounting: duplicates and gaps relative to {0..Ops-1}.
 	// For approximate guarantees these stay measurements (repeated values
 	// are the point of not paying for exactness), never violations.
-	seen := make(map[int]bool, len(vals))
+	s.seen.reset(len(vals))
 	for _, v := range vals {
-		if seen[v.Value] {
+		if !s.seen.add(v.Value) {
 			rep.Duplicates++
 			if rep.First == "" && exactClaim {
 				rep.First = fmt.Sprintf("value %d handed out more than once", v.Value)
 			}
-			continue
 		}
-		seen[v.Value] = true
 	}
 	for v := 0; v < len(vals); v++ {
-		if !seen[v] {
+		if !s.seen.take(v) {
 			rep.Gaps++
 			if rep.First == "" && exactClaim {
 				rep.First = fmt.Sprintf("value %d never handed out", v)
@@ -125,28 +130,12 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 		}
 	}
 
-	// Real-time order: scan operations by start time, tracking the largest
-	// value among operations completed strictly before each start (the same
-	// sweep as Linearizable, counting instead of stopping).
-	byEnd := append([]TimedValue(nil), vals...)
-	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
-	byStart := append([]TimedValue(nil), vals...)
-	sort.Slice(byStart, func(i, j int) bool { return byStart[i].Start < byStart[j].Start })
-	maxDone, ei := -1, 0
-	for _, b := range byStart {
-		for ei < len(byEnd) && byEnd[ei].End < b.Start {
-			if byEnd[ei].Value > maxDone {
-				maxDone = byEnd[ei].Value
-			}
-			ei++
-		}
-		if maxDone >= b.Value {
-			rep.OrderViolations++
-			if rep.First == "" && level == counter.Linearizable {
-				rep.First = fmt.Sprintf("op %d got value %d although an operation with value >= %d completed before it started",
-					b.Op, b.Value, maxDone)
-			}
-		}
+	// Real-time order: the shared sweep, counting instead of stopping.
+	var first orderViolation
+	rep.OrderViolations, first = s.orderSweep(vals)
+	if rep.OrderViolations > 0 && rep.First == "" && level == counter.Linearizable {
+		rep.First = fmt.Sprintf("op %d got value %d although an operation with value >= %d completed before it started",
+			first.op, first.value, first.maxDone)
 	}
 
 	switch level {
@@ -156,7 +145,7 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 		rep.Violations = rep.Duplicates + rep.Gaps
 	case counter.Approximate:
 		rep.Epsilon = g.Epsilon
-		evaluateApproximate(&rep, g.Epsilon, vals)
+		s.evaluateApproximate(&rep, g.Epsilon, vals)
 		rep.Violations = rep.OutOfBound
 	}
 	if fc.Fired {
@@ -186,20 +175,20 @@ const approxTolerance = 1e-9
 // EVERY exact execution by more than the claimed ε and counts as a
 // violation. MaxRelError records the worst relative excursion beyond the
 // [lo, hi] bracket itself (ε plays no part in the measurement, so the
-// report shows the margin to the claim).
-func evaluateApproximate(rep *Report, eps float64, vals []TimedValue) {
-	starts := make([]int64, len(vals))
-	ends := make([]int64, len(vals))
-	for i, v := range vals {
-		starts[i] = v.Start
-		ends[i] = v.End
+// report shows the margin to the claim). It reuses the completion times
+// the order sweep left sorted in s.ends.
+func (s *scratch) evaluateApproximate(rep *Report, eps float64, vals []TimedValue) {
+	ends := s.ends // sorted by the order sweep
+	starts := s.starts[:0]
+	for _, v := range vals {
+		starts = append(starts, v.Start)
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+	s.starts = starts
+	slices.Sort(starts)
 
 	for _, v := range vals {
 		// Count of operations that ended strictly before this one started.
-		lo := sort.Search(len(ends), func(i int) bool { return ends[i] >= v.Start })
+		lo := sort.Search(len(ends), func(i int) bool { return ends[i].end >= v.Start })
 		// Count of operations started by the time this one ended, minus
 		// the operation itself (its own start precedes its own end).
 		hi := sort.Search(len(starts), func(i int) bool { return starts[i] > v.End }) - 1

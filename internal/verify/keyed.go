@@ -1,8 +1,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"distcount/internal/counter"
 	"distcount/internal/sim"
@@ -72,16 +73,27 @@ type KeyedReport struct {
 // operations whose value could not be read back (counted in the summary).
 func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedValue, missing int, fc FaultContext) KeyedReport {
 	rep := KeyedReport{}
+	var s scratch
+	s.seen.reset(len(vals)) // sizes the dense table once for every history below
 
+	// Per-shard histories, carved out of one array sized by a counting pass.
+	sizes := make([]int, len(guarantees))
+	for _, v := range vals {
+		sizes[v.Shard]++
+	}
 	perShard := make([][]TimedValue, len(guarantees))
+	all := make([]TimedValue, len(vals))
+	for sh, n := range sizes {
+		perShard[sh], all = all[:0:n], all[n:]
+	}
 	for _, v := range vals {
 		perShard[v.Shard] = append(perShard[v.Shard], TimedValue{Op: v.Op, Value: v.Value, Start: v.Start, End: v.End})
 	}
 	allSame := true
-	for s, g := range guarantees {
-		sr := ShardReport{Shard: s, Report: EvaluateWithFaults(g, perShard[s], 0, fc)}
-		if s < len(algos) {
-			sr.Algorithm = algos[s]
+	for sh, g := range guarantees {
+		sr := ShardReport{Shard: sh, Report: s.evaluate(g, perShard[sh], 0, fc)}
+		if sh < len(algos) {
+			sr.Algorithm = algos[sh]
 		}
 		rep.Shards = append(rep.Shards, sr)
 		if g != guarantees[0] {
@@ -89,47 +101,32 @@ func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedV
 		}
 	}
 
-	// (key, epoch) segments: group, then run the duplicate + real-time
-	// order sweeps within each, at the owning shard's level.
-	type segKey struct{ key, epoch int }
-	segs := map[segKey][]KeyedValue{}
-	keysSeen := map[int]bool{}
-	epochsOf := map[int]map[int]bool{}
-	for _, v := range vals {
-		sk := segKey{v.Key, v.Epoch}
-		segs[sk] = append(segs[sk], v)
-		keysSeen[v.Key] = true
-		if epochsOf[v.Key] == nil {
-			epochsOf[v.Key] = map[int]bool{}
+	// (key, epoch) segments: group by key, split a migrated key's group by
+	// epoch, then run the duplicate and real-time order checks within each
+	// segment at the owning shard's level.
+	order := groupByKey(vals)
+	for i := 0; i < len(order); {
+		key, migrated := vals[order[i]].Key, false
+		j := i + 1
+		for ; j < len(order) && vals[order[j]].Key == key; j++ {
+			migrated = migrated || vals[order[j]].Epoch != vals[order[i]].Epoch
 		}
-		epochsOf[v.Key][v.Epoch] = true
-	}
-	rep.Keys = len(keysSeen)
-	rep.Segments = len(segs)
-	for _, es := range epochsOf {
-		if len(es) > 1 {
+		group := order[i:j]
+		rep.Keys++
+		if migrated {
 			rep.MigratedKeys++
+			slices.SortStableFunc(group, func(a, b int32) int { return cmp.Compare(vals[a].Epoch, vals[b].Epoch) })
 		}
-	}
-	for _, seg := range segs {
-		level := guarantees[seg[0].Shard].Level
-		// Sequential-only shards make no concurrent claim; approximate
-		// shards legitimately repeat values within a key (the whole-shard ε
-		// bracket is the claim, checked above), so neither gets the
-		// exactness segment sweeps.
-		if level == counter.SequentialOnly || level == counter.Approximate {
-			continue
-		}
-		seen := make(map[int]bool, len(seg))
-		for _, v := range seg {
-			if seen[v.Value] {
-				rep.KeyDuplicates++
+		for a := 0; a < len(group); {
+			b := a + 1
+			for b < len(group) && vals[group[b]].Epoch == vals[group[a]].Epoch {
+				b++
 			}
-			seen[v.Value] = true
+			rep.Segments++
+			s.checkSegment(&rep, guarantees, vals, group[a:b])
+			a = b
 		}
-		if level == counter.Linearizable {
-			rep.KeyOrderViolations += segmentOrderViolations(seg)
-		}
+		i = j
 	}
 
 	// Summary: shard reports aggregated into one Report so keyed results
@@ -166,25 +163,69 @@ func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedV
 	return rep
 }
 
-// segmentOrderViolations runs the real-time order sweep of Evaluate within
-// one (key, epoch) segment: an operation whose value is not larger than
-// that of some segment operation completed before it started.
-func segmentOrderViolations(seg []KeyedValue) int {
-	byEnd := append([]KeyedValue(nil), seg...)
-	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
-	byStart := append([]KeyedValue(nil), seg...)
-	sort.Slice(byStart, func(i, j int) bool { return byStart[i].Start < byStart[j].Start })
-	violations, maxDone, ei := 0, -1, 0
-	for _, b := range byStart {
-		for ei < len(byEnd) && byEnd[ei].End < b.Start {
-			if byEnd[ei].Value > maxDone {
-				maxDone = byEnd[ei].Value
-			}
-			ei++
+// groupByKey returns the indices of vals ordered by key, stably (the
+// operations of one key keep their collection order). Keys a service
+// routes are dense in [0, Keys), so a counting sort over the key span does
+// it in linear time; keys spread much wider than the history fall back to
+// a comparison sort.
+func groupByKey(vals []KeyedValue) []int32 {
+	order := make([]int32, len(vals))
+	if len(vals) == 0 {
+		return order
+	}
+	lo, hi := vals[0].Key, vals[0].Key
+	for _, v := range vals {
+		lo, hi = min(lo, v.Key), max(hi, v.Key)
+	}
+	if span := uint64(hi) - uint64(lo); span >= uint64(2*len(vals)+64) {
+		for i := range order {
+			order[i] = int32(i)
 		}
-		if maxDone >= b.Value {
-			violations++
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(vals[a].Key, vals[b].Key) })
+		return order
+	}
+	next := make([]int32, hi-lo+2) // next[k-lo]: the next slot of key k
+	for _, v := range vals {
+		next[v.Key-lo+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	for i, v := range vals {
+		order[next[v.Key-lo]] = int32(i)
+		next[v.Key-lo]++
+	}
+	return order
+}
+
+// checkSegment runs the exactness checks within one (key, epoch) segment,
+// given as indices into vals: duplicate values, and for linearizable
+// shards the real-time order sweep.
+func (s *scratch) checkSegment(rep *KeyedReport, guarantees []counter.Guarantee, vals []KeyedValue, seg []int32) {
+	level := guarantees[vals[seg[0]].Shard].Level
+	// Sequential-only shards make no concurrent claim; approximate shards
+	// legitimately repeat values within a key (the whole-shard ε bracket
+	// is the claim, checked above), so neither gets the segment checks.
+	if level == counter.SequentialOnly || level == counter.Approximate {
+		return
+	}
+	s.seen.reset(len(vals))
+	for _, i := range seg {
+		if !s.seen.add(vals[i].Value) {
+			rep.KeyDuplicates++
 		}
 	}
-	return violations
+	for _, i := range seg {
+		s.seen.take(vals[i].Value) // leave the dense table empty for the next segment
+	}
+	if level == counter.Linearizable {
+		ops := s.ops[:0]
+		for _, i := range seg {
+			v := &vals[i]
+			ops = append(ops, TimedValue{Op: v.Op, Value: v.Value, Start: v.Start, End: v.End})
+		}
+		s.ops = ops
+		n, _ := s.orderSweep(ops)
+		rep.KeyOrderViolations += n
+	}
 }
