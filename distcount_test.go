@@ -1,6 +1,7 @@
 package distcount_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -29,6 +30,52 @@ func TestNewTreeCounterForSize(t *testing.T) {
 	c := distcount.NewTreeCounterForSize(100)
 	if c.K() != 4 || c.N() != 1024 {
 		t.Fatalf("k=%d n=%d, want 4/1024", c.K(), c.N())
+	}
+}
+
+// TestTreeHostsRejectBadProcessors: every communication-tree entry point
+// of the facade reports a processor outside [1,n] as an error, as the
+// registry counters do, instead of panicking inside the simulator.
+func TestTreeHostsRejectBadProcessors(t *testing.T) {
+	const k, n = 2, 8
+	ops := map[string]func(p distcount.ProcID) error{
+		"TreeCounter.Inc": func(p distcount.ProcID) error {
+			_, err := distcount.NewTreeCounter(k).Inc(p)
+			return err
+		},
+		"FlipBit.Flip": func(p distcount.ProcID) error {
+			_, err := distcount.NewFlipBit(k).Flip(p)
+			return err
+		},
+		"FlipBit.Read": func(p distcount.ProcID) error {
+			_, err := distcount.NewFlipBit(k).Read(p)
+			return err
+		},
+		"PriorityQueue.Insert": func(p distcount.ProcID) error {
+			return distcount.NewPriorityQueue(k).Insert(p, 1)
+		},
+		"PriorityQueue.DelMin": func(p distcount.ProcID) error {
+			_, _, err := distcount.NewPriorityQueue(k).DelMin(p)
+			return err
+		},
+		"PriorityQueue.Size": func(p distcount.ProcID) error {
+			_, err := distcount.NewPriorityQueue(k).Size(p)
+			return err
+		},
+	}
+	for name, op := range ops {
+		for _, p := range []distcount.ProcID{-1, 0, n + 1} {
+			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if err := op(p); err == nil {
+					t.Fatal("no error")
+				}
+			})
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"distcount"
 	"distcount/internal/core"
+	"distcount/internal/counter"
 	"distcount/internal/sim"
 	"distcount/internal/verify"
 )
@@ -27,11 +28,12 @@ func main() {
 	}
 	seqTime := seq.Net().Now()
 
-	// Concurrent: all n operations start at t=0 and pipeline.
-	tree := core.NewTree(k, newCounterState(), core.WithoutChecks())
+	// Concurrent: all n operations start at t=0 and pipeline, on the
+	// unchecked protocol (the lemma checks assume one operation at a time).
+	tree := counter.NewSim(core.NewMachine(n))
 	ops := make([]sim.OpID, 0, n)
 	for p := 1; p <= n; p++ {
-		ops = append(ops, tree.Start(0, sim.ProcID(p), nil))
+		ops = append(ops, tree.Start(0, sim.ProcID(p)))
 	}
 	if err := tree.Net().Run(); err != nil {
 		log.Fatal(err)
@@ -39,12 +41,12 @@ func main() {
 	concTime := tree.Net().Now()
 
 	values := make([]int, n)
-	for p := 1; p <= n; p++ {
-		reply, ok := tree.ReplyOf(sim.ProcID(p))
+	for i, id := range ops {
+		v, ok := tree.OpValue(id)
 		if !ok {
-			log.Fatalf("processor %d got no value", p)
+			log.Fatalf("processor %d got no value", i+1)
 		}
-		values[p-1] = reply.(int)
+		values[i] = v
 	}
 	timed, err := verify.CollectTimedValues(tree.Net(), ops, values)
 	if err != nil {
@@ -58,20 +60,4 @@ func main() {
 	fmt.Printf("quiescent-consistent: %v\n", verify.QuiescentConsistent(timed) == nil)
 	fmt.Printf("linearizable:         %v (the root serializes every operation)\n",
 		verify.Linearizable(timed) == nil)
-}
-
-// counterState mirrors the counter root state for the generic tree API.
-type counterState struct{ val int }
-
-func newCounterState() *counterState { return &counterState{} }
-
-func (s *counterState) Apply(any) any {
-	v := s.val
-	s.val++
-	return v
-}
-
-func (s *counterState) CloneState() core.RootState {
-	cp := *s
-	return &cp
 }

@@ -19,6 +19,12 @@ import (
 //   - Grow Old Lemma: "If an inner node does not retire during an inc
 //     operation it sends and receives at most four messages."
 //
+// An operation's window opens when it is initiated and closes at
+// quiescence: when the next operation begins, or when a lemma metric is
+// read, whichever comes first. The lemmas assume the paper's sequential
+// model, so the checker refuses an operation initiated while messages of
+// an earlier one are still in flight.
+//
 // Checked continuously:
 //
 //   - Identifier uniqueness: no two inner nodes on levels 1..k ever share a
@@ -30,7 +36,12 @@ type checker struct {
 	g         geometry
 	retireAge int
 
-	opSeq    int32
+	opSeq int32
+	// open marks a window whose per-operation lemmas are not yet evaluated.
+	open bool
+	// inFlight counts the protocol's messages sent but not yet delivered.
+	inFlight int
+
 	msgStamp []int32
 	msgCount []int32
 	retStamp []int32
@@ -83,14 +94,28 @@ func (c *checker) violate(format string, args ...any) {
 	}
 }
 
-// beginOp opens a new operation window.
-func (c *checker) beginOp() {
+// beginOp closes the previous operation's window and opens one for the
+// operation p initiates. It panics when messages are still in flight:
+// overlapping operations would share a window and void the per-operation
+// lemmas, so a checked tree runs one operation at a time.
+func (c *checker) beginOp(p sim.ProcID) {
+	if c.inFlight != 0 {
+		panic(fmt.Sprintf("core: operation by %v initiated with %d messages of an earlier operation in flight (a checked tree runs one operation at a time)", p, c.inFlight))
+	}
+	c.close()
 	c.opSeq++
 	c.touched = c.touched[:0]
+	c.open = true
 }
 
-// endOp evaluates the per-operation lemmas for the window just closed.
-func (c *checker) endOp() {
+// close evaluates the per-operation lemmas for the open window, once the
+// operation is quiescent. It is idempotent: a closed window, or one whose
+// messages are still in flight, is left as it is.
+func (c *checker) close() {
+	if !c.open || c.inFlight != 0 {
+		return
+	}
+	c.open = false
 	for _, id := range c.touched {
 		msgs, rets := 0, 0
 		if c.msgStamp[id] == c.opSeq {
@@ -165,6 +190,8 @@ func (c *checker) clone() *checker {
 		g:              c.g,
 		retireAge:      c.retireAge,
 		opSeq:          c.opSeq,
+		open:           c.open,
+		inFlight:       c.inFlight,
 		msgStamp:       append([]int32(nil), c.msgStamp...),
 		msgCount:       append([]int32(nil), c.msgCount...),
 		retStamp:       append([]int32(nil), c.retStamp...),

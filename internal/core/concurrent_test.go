@@ -3,35 +3,36 @@ package core
 import (
 	"testing"
 
+	"distcount/internal/counter"
 	"distcount/internal/sim"
 )
 
 // Tests of the concurrent (pipelined) mode added on top of the paper's
-// sequential model: Start/ReplyOf, and the guard that keeps the lemma
-// instrumentation sequential-only.
+// sequential model: the unchecked protocol (NewMachine) on the simulator
+// host, and the guard that keeps the lemma instrumentation sequential-only.
 
 func TestConcurrentPipelinedCounting(t *testing.T) {
-	tr := NewTree(2, &counterState{}, WithoutChecks())
-	n := tr.N()
+	c := counter.NewSim(NewMachine(8))
+	n := c.N()
+	ids := make([]sim.OpID, 0, n)
 	for p := 1; p <= n; p++ {
-		tr.Start(0, sim.ProcID(p), nil)
+		ids = append(ids, c.Start(0, sim.ProcID(p)))
 	}
-	if err := tr.Net().Run(); err != nil {
+	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
 	}
 	seen := make([]bool, n)
-	for p := 1; p <= n; p++ {
-		reply, ok := tr.ReplyOf(sim.ProcID(p))
+	for i, id := range ids {
+		v, ok := c.OpValue(id)
 		if !ok {
-			t.Fatalf("processor %d got no reply", p)
+			t.Fatalf("processor %d got no reply", i+1)
 		}
-		v := reply.(int)
 		if v < 0 || v >= n || seen[v] {
-			t.Fatalf("processor %d got invalid/duplicate value %d", p, v)
+			t.Fatalf("processor %d got invalid/duplicate value %d", i+1, v)
 		}
 		seen[v] = true
 	}
-	if got := tr.State().(*counterState).val; got != n {
+	if got := c.Net().Protocol().(ctree).root.(*counterState).val; int(got) != n {
 		t.Fatalf("final value %d, want %d", got, n)
 	}
 }
@@ -43,9 +44,9 @@ func TestConcurrentPipelinedIsFasterThanSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	conc := NewTree(2, &counterState{}, WithoutChecks())
+	conc := counter.NewSim(NewMachine(8))
 	for p := 1; p <= conc.N(); p++ {
-		conc.Start(0, sim.ProcID(p), nil)
+		conc.Start(0, sim.ProcID(p))
 	}
 	if err := conc.Net().Run(); err != nil {
 		t.Fatal(err)
@@ -57,22 +58,22 @@ func TestConcurrentPipelinedIsFasterThanSequential(t *testing.T) {
 
 func TestConcurrentUnderReordering(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		tr := NewTree(2, &counterState{}, WithoutChecks(),
-			WithSimOptions(sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 11})))
-		n := tr.N()
+		c := counter.NewSim(NewMachine(8),
+			sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 11}))
+		n := c.N()
+		ids := make([]sim.OpID, 0, n)
 		for p := 1; p <= n; p++ {
-			tr.Start(int64(p), sim.ProcID(p), nil)
+			ids = append(ids, c.Start(int64(p), sim.ProcID(p)))
 		}
-		if err := tr.Net().Run(); err != nil {
+		if err := c.Net().Run(); err != nil {
 			t.Fatal(err)
 		}
 		seen := make([]bool, n)
-		for p := 1; p <= n; p++ {
-			reply, ok := tr.ReplyOf(sim.ProcID(p))
+		for i, id := range ids {
+			v, ok := c.OpValue(id)
 			if !ok {
-				t.Fatalf("seed %d: processor %d got no reply", seed, p)
+				t.Fatalf("seed %d: processor %d got no reply", seed, i+1)
 			}
-			v := reply.(int)
 			if v < 0 || v >= n || seen[v] {
 				t.Fatalf("seed %d: invalid/duplicate value %d", seed, v)
 			}
@@ -81,40 +82,102 @@ func TestConcurrentUnderReordering(t *testing.T) {
 	}
 }
 
-func TestStartRequiresWithoutChecks(t *testing.T) {
-	tr := NewTree(2, &counterState{}) // checks on
+// TestCheckedCounterRefusesOverlappingOps: the lemma windows assume the
+// sequential model, so a checked counter's protocol refuses an operation
+// initiated while an earlier one's messages are in flight, on every host
+// path — here the Async Start the engine uses.
+func TestCheckedCounterRefusesOverlappingOps(t *testing.T) {
+	c := New(2)
+	c.Start(0, 1)
+	c.Start(0, 2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Start with checks enabled did not panic")
+			t.Fatal("overlapping operations on a checked counter did not panic")
 		}
 	}()
-	tr.Start(0, 1, nil)
+	_ = c.Net().Run()
 }
 
-func TestReplyOfBeforeAnyOp(t *testing.T) {
-	tr := NewTree(2, &counterState{}, WithoutChecks())
-	if _, ok := tr.ReplyOf(3); ok {
-		t.Fatal("reply reported before any operation")
+// TestCheckedCounterAcceptsSequentialStarts: operations started one after
+// another's quiescence are the sequential model and pass the guard.
+func TestCheckedCounterAcceptsSequentialStarts(t *testing.T) {
+	c := New(2)
+	for p := 1; p <= c.N(); p++ {
+		id := c.Start(c.Net().Now(), sim.ProcID(p))
+		if err := c.Net().Run(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := c.OpValue(id); !ok || v != p-1 {
+			t.Fatalf("op %d: value %d, %v", p, v, ok)
+		}
+	}
+	if _, count := c.Violations(); count != 0 {
+		t.Fatalf("%d lemma violations", count)
 	}
 }
 
-func TestWithoutChecksDisablesInstrumentation(t *testing.T) {
-	c := New(2, WithoutChecks())
-	if _, err := c.Inc(1); err != nil {
-		t.Fatal(err)
+// TestLemmaWindowsCountOnce: reading the lemma metrics closes the window of
+// a finished operation; reading them again, mid-sequence or at the end,
+// must not evaluate that window a second time.
+func TestLemmaWindowsCountOnce(t *testing.T) {
+	// At threshold 1 nodes retire several times within one operation, so
+	// the Retirement Lemma fails in some windows and a double-evaluated
+	// window shows in the violation count.
+	polled, quiet := New(2, WithRetireAge(1)), New(2, WithRetireAge(1))
+	for _, p := range counter.SequentialOrder(polled.N()) {
+		if _, err := polled.Inc(p); err != nil {
+			t.Fatal(err)
+		}
+		polled.Violations()
+		polled.GrowOldMax()
+		polled.Violations()
+		if _, err := quiet.Inc(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if v, count := c.Violations(); v != nil || count != 0 {
-		t.Fatal("violations reported with checks off")
+	_, want := quiet.Violations()
+	if quiet.RetirePerOpMax() < 2 {
+		t.Fatal("no window violated the Retirement Lemma; the test cannot discriminate")
 	}
-	if c.GrowOldMax() != 0 || c.RetirePerOpMax() != 0 {
-		t.Fatal("lemma metrics reported with checks off")
+	for i := 0; i < 2; i++ {
+		if _, got := polled.Violations(); got != want {
+			t.Fatalf("read %d: %d violations with mid-sequence reads, %d without", i, got, want)
+		}
+		if got, w := polled.GrowOldMax(), quiet.GrowOldMax(); got != w {
+			t.Fatalf("read %d: GrowOldMax %d with mid-sequence reads, %d without", i, got, w)
+		}
+	}
+}
+
+// TestCheckedTreeRefusesFaults: a lost message would never drain the
+// checker's in-flight count, so a fault plan is refused up front.
+func TestCheckedTreeRefusesFaults(t *testing.T) {
+	faults := WithSimOptions(sim.WithFaults(sim.FaultPlan{Seed: 3, Loss: 0.2}))
+	for name, build := range map[string]func(){
+		"counter": func() { New(2, faults) },
+		"tree":    func() { NewTree[junk, count](2, &junkCounter{}, faults) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a fault plan was accepted", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
+func TestMachineRunsUnchecked(t *testing.T) {
+	if NewMachine(8).Proto.(ctree).checks != nil {
+		t.Fatal("NewMachine built a checked protocol")
 	}
 }
 
 func TestPayloadKinds(t *testing.T) {
 	kinds := map[string]sim.Payload{
-		"inc-from":       incPayload{},
-		"value":          valuePayload{},
+		"inc-from":       incPayload[inc]{},
+		"value":          valuePayload[count]{},
 		"handoff-job":    handoffJobPayload{},
 		"handoff-parent": handoffParentPayload{},
 		"handoff-child":  handoffChildPayload{},
@@ -124,13 +187,6 @@ func TestPayloadKinds(t *testing.T) {
 		if got := pl.Kind(); got != want {
 			t.Errorf("Kind() = %q, want %q", got, want)
 		}
-	}
-}
-
-func TestStateAccessor(t *testing.T) {
-	tr := NewTree(2, &counterState{})
-	if _, ok := tr.State().(*counterState); !ok {
-		t.Fatalf("State() = %T", tr.State())
 	}
 }
 

@@ -15,10 +15,11 @@
 // processor p travels leaf -> root along inner nodes ("inc from p"); the
 // root applies it and replies directly to p.
 //
-// The tree is generic over the root state (RootState): the paper observes
-// that its results extend to "a bit that can be accessed and flipped and a
-// priority queue", both built on Tree in internal/ext. Counter is the
-// counter instantiation.
+// The tree is generic over the root state (RootState) and its request and
+// reply types: the paper observes that its results extend to "a bit that
+// can be accessed and flipped and a priority queue", both built on Tree in
+// internal/ext. Counter is the counter instantiation, hosted like every
+// other algorithm on counter.Sim.
 //
 // # Retirement
 //
@@ -64,21 +65,11 @@ import (
 	"distcount/internal/sim"
 )
 
-// Tree is the communication tree serving an arbitrary sequential object
-// (RootState) with O(k) per-processor message load. Operations are
-// submitted with Do and run to quiescence (the paper's sequential model).
-type Tree struct {
-	net   *sim.Network
-	proto *proto
-	k     int
-}
-
-// Option configures a Tree (and therefore a Counter).
+// Option configures a Counter or a Tree.
 type Option func(*config)
 
 type config struct {
 	retireAge int // -1: default 4k; 0: retirement disabled
-	checks    bool
 	simOpts   []sim.Option
 }
 
@@ -92,157 +83,202 @@ func WithRetireAge(age int) Option {
 	return func(c *config) { c.retireAge = age }
 }
 
-// WithoutRetirement disables retirement (equivalent to WithRetireAge(0)).
-func WithoutRetirement() Option {
-	return func(c *config) { c.retireAge = 0 }
-}
-
-// WithoutChecks disables the lemma instrumentation (for the largest
-// benchmark runs).
-func WithoutChecks() Option {
-	return func(c *config) { c.checks = false }
-}
-
 // WithSimOptions forwards options to the underlying network.
 func WithSimOptions(opts ...sim.Option) Option {
 	return func(c *config) { c.simOpts = append(c.simOpts, opts...) }
 }
 
-// NewTree creates a communication tree of arity k (n = k^(k+1) processors)
-// serving the given root state.
-func NewTree(k int, state RootState, opts ...Option) *Tree {
-	cfg := config{retireAge: -1, checks: true}
+func configure(k int, opts []Option) config {
+	cfg := config{retireAge: -1}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.retireAge == -1 {
 		cfg.retireAge = 4 * k
 	}
-	pr := newProto(k, cfg.retireAge, state, cfg.checks)
-	return &Tree{
-		net:   sim.New(pr.g.n, pr, cfg.simOpts...),
-		proto: pr,
-		k:     k,
+	return cfg
+}
+
+// Counter is the paper's communication-tree distributed counter on the
+// simulator host (counter.Sim), plus a read-only view of the Section 4
+// lemma instrumentation. Every Counter is checked: the lemmas assume the
+// paper's sequential model, so its protocol refuses an operation initiated
+// while an earlier one's messages are still in flight. NewMachine is the
+// unchecked protocol the registry, the engine and the rt backend host.
+type Counter struct {
+	*counter.Sim
+	view[inc, count]
+}
+
+// New creates the counter for the tree of arity k over exactly n = k^(k+1)
+// processors.
+func New(k int, opts ...Option) *Counter {
+	cfg := configure(k, opts)
+	pr := ctree{newProto(k, cfg.retireAge, &counterState{}, true)}
+	c := &Counter{Sim: counter.NewSim(pr.Machine(), cfg.simOpts...), view: view[inc, count]{pr.proto}}
+	refuseFaults(c.Net())
+	return c
+}
+
+// NewForSize creates the counter for at least n processors, rounding n up
+// to the next admissible size k·k^k as the paper prescribes. The network
+// size is Counter.N(), which may exceed the request.
+func NewForSize(n int, opts ...Option) *Counter {
+	return New(KForSize(n), opts...)
+}
+
+// NewMachine returns the paper's counter as a backend-independent protocol
+// descriptor for at least n processors (the size rounds up to k^(k+1);
+// lemma instrumentation stays off — its windows assume the sequential
+// model).
+func NewMachine(n int) counter.Machine {
+	k := KForSize(n)
+	return ctree{newProto(k, 4*k, &counterState{}, false)}.Machine()
+}
+
+// Value returns the root's current counter value (= operations completed).
+func (c *Counter) Value() int { return int(c.pr.root.(*counterState).val) }
+
+// ctree is the tree protocol serving the paper's counter. Unlike the
+// generic tree it describes itself as a counter.Machine, also after a
+// clone, so counter.Sim can host and clone it.
+type ctree struct{ *proto[inc, count] }
+
+var _ counter.Describer = ctree{}
+
+// CloneProtocol implements sim.CloneableProtocol.
+func (c ctree) CloneProtocol() sim.Protocol { return ctree{c.clone()} }
+
+// Machine implements counter.Describer. Serial: retirement rewrites a
+// node's current processor and the forwarding table that every receiver's
+// ensureRole consults, so the rt backend must serialize all protocol
+// callbacks rather than run receivers concurrently. The root applies
+// operations in arrival order and replies directly to initiators, so
+// values respect real-time order under every schedule (experiment E13).
+func (c ctree) Machine() counter.Machine {
+	pr := c.proto
+	return counter.Machine{
+		Name:  "ctree",
+		N:     pr.g.n,
+		Proto: c,
+		Initiate: func(nw sim.Transport, p sim.ProcID) {
+			pr.initiate(nw, p, inc{})
+		},
+		Value: func(id sim.OpID) (int, bool) {
+			v, ok := pr.ops.Take(id)
+			return int(v), ok
+		},
+		Guarantee: counter.Exact(counter.Linearizable),
+		Serial:    true,
+	}
+}
+
+// Tree is the communication tree serving an arbitrary sequential object
+// (RootState) with O(k) per-processor message load. Operations are
+// submitted with Do and run to quiescence (the paper's sequential model).
+type Tree[Req, Rep sim.BitSized] struct {
+	view[Req, Rep]
+	net *sim.Network
+}
+
+// NewTree creates a communication tree of arity k (n = k^(k+1) processors)
+// serving the given root state, with lemma instrumentation on.
+func NewTree[Req, Rep sim.BitSized](k int, state RootState[Req, Rep], opts ...Option) *Tree[Req, Rep] {
+	cfg := configure(k, opts)
+	pr := newProto(k, cfg.retireAge, state, true)
+	t := &Tree[Req, Rep]{view: view[Req, Rep]{pr}, net: sim.New(pr.g.n, pr, cfg.simOpts...)}
+	refuseFaults(t.net)
+	return t
+}
+
+// refuseFaults panics when net injects faults. A checked protocol finds
+// quiescence by counting its messages in flight, and a lost or duplicated
+// message would leave that count wrong for the rest of the run.
+func refuseFaults(net *sim.Network) {
+	if net.FaultsActive() {
+		panic("core: a checked tree needs a fault-free network; inject faults into NewMachine's protocol instead")
 	}
 }
 
 // Do executes one operation initiated by processor p against the root
 // state, running the network to quiescence, and returns the root's reply.
-func (t *Tree) Do(p sim.ProcID, req any) (any, error) {
-	t.proto.curReq = req
-	id := t.net.StartOp(p, t.proto.initiate)
+// A processor outside [1,n] is an error.
+func (t *Tree[Req, Rep]) Do(p sim.ProcID, req Req) (Rep, error) {
+	var zero Rep
+	if p < 1 || int(p) > t.N() {
+		return zero, fmt.Errorf("core: processor %v outside [1,%d]", p, t.N())
+	}
+	id := t.net.StartOp(p, func(nw sim.Transport, p sim.ProcID) { t.pr.initiate(nw, p, req) })
 	if err := t.net.Run(); err != nil {
-		return nil, err
+		return zero, err
 	}
-	if t.proto.checks != nil {
-		t.proto.checks.endOp()
-	}
-	reply, ok := t.TakeReply(id)
+	reply, ok := t.pr.ops.Take(id)
 	if !ok {
-		return nil, fmt.Errorf("core: operation by %v terminated without a reply", p)
+		return zero, fmt.Errorf("core: operation by %v terminated without a reply", p)
 	}
 	return reply, nil
 }
 
-// Start schedules an operation by p at the given simulated time WITHOUT
-// draining the network: the concurrent (pipelined) mode, in which many
-// operations climb the tree at once and the root serializes them. Because
-// the Section 4 lemma instrumentation assumes the paper's sequential model
-// (its per-operation windows would overlap), Start requires a tree built
-// WithoutChecks. Read results with ReplyOf after Net().Run().
-//
-// Concurrency is outside the paper's model — "let us therefore assume that
-// enough time elapses in between any two inc requests" — but the tree
-// remains correct under it: requests pipeline, the root applies them in
-// arrival order, and replies go directly to initiators, which also makes
-// the counter linearizable (experiment E13).
-func (t *Tree) Start(at int64, p sim.ProcID, req any) sim.OpID {
-	if t.proto.checks != nil {
-		panic("core: concurrent Start requires WithoutChecks (lemma windows assume sequential operations)")
-	}
-	return t.net.ScheduleOp(at, p, func(nw sim.Transport, p sim.ProcID) {
-		t.proto.initiateReq(nw, p, req)
-	})
-}
-
-// ReplyOf returns the last reply delivered to processor p; ok is false if
-// none arrived since p's last operation *began*. A Start scheduled in the
-// future resets the flag at its initiation time, not at schedule time, so
-// polling between the two still reads the previous operation's reply.
-func (t *Tree) ReplyOf(p sim.ProcID) (any, bool) {
-	return t.proto.ops.Last(p)
-}
-
-// TakeReply returns the reply delivered to the completed operation id and
-// forgets it; ok is false when the operation is unknown, unfinished, or
-// already read.
-func (t *Tree) TakeReply(id sim.OpID) (any, bool) {
-	return t.proto.ops.Take(id)
-}
-
-// K returns the arity of the communication tree.
-func (t *Tree) K() int { return t.k }
-
 // N returns the number of processors, n = k^(k+1).
-func (t *Tree) N() int { return t.net.N() }
+func (t *Tree[Req, Rep]) N() int { return t.net.N() }
 
 // Net exposes the underlying network.
-func (t *Tree) Net() *sim.Network { return t.net }
+func (t *Tree[Req, Rep]) Net() *sim.Network { return t.net }
 
-// State returns the live root state (owned by the root's current
-// processor; read it only at quiescence).
-func (t *Tree) State() RootState { return t.proto.root }
-
-// RetireAge returns the retirement threshold in effect (0 = disabled).
-func (t *Tree) RetireAge() int { return t.proto.retireAge }
-
-// Stats returns protocol-level counters.
-func (t *Tree) Stats() Stats { return t.proto.stats }
-
-// CloneTree returns an independent deep copy of the tree and its network.
-func (t *Tree) CloneTree() (*Tree, error) {
+// Clone returns an independent deep copy of the tree and its network.
+func (t *Tree[Req, Rep]) Clone() (*Tree[Req, Rep], error) {
 	net, err := t.net.Clone()
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{net: net, proto: net.Protocol().(*proto), k: t.k}, nil
+	return &Tree[Req, Rep]{view: view[Req, Rep]{net.Protocol().(*proto[Req, Rep])}, net: net}, nil
+}
+
+// view is the read-only lemma view of one tree protocol, shared by Counter
+// and Tree. Reading a lemma metric closes the window of an operation that
+// has run to quiescence, so the metrics cover every finished operation.
+type view[Req, Rep sim.BitSized] struct {
+	pr *proto[Req, Rep]
+}
+
+// K returns the arity of the communication tree.
+func (v view[Req, Rep]) K() int { return v.pr.g.k }
+
+// RetireAge returns the retirement threshold in effect (0 = disabled).
+func (v view[Req, Rep]) RetireAge() int { return v.pr.retireAge }
+
+// Stats returns protocol-level counters.
+func (v view[Req, Rep]) Stats() Stats { return v.pr.stats }
+
+// checks returns the checker with every quiescent window closed.
+func (v view[Req, Rep]) checks() *checker {
+	v.pr.checks.close()
+	return v.pr.checks
 }
 
 // Violations returns the lemma violations recorded so far (at most the
 // first 64) and the total violation count. Both are zero for the default
 // configuration — the test suite asserts this; ablation configurations
 // use them as measurements.
-func (t *Tree) Violations() ([]string, int64) {
-	if t.proto.checks == nil {
-		return nil, 0
-	}
-	return append([]string(nil), t.proto.checks.violations...), t.proto.checks.violationCount
+func (v view[Req, Rep]) Violations() ([]string, int64) {
+	c := v.checks()
+	return append([]string(nil), c.violations...), c.violationCount
 }
 
 // GrowOldMax returns the largest per-operation message count observed at an
 // inner node that did not retire during that operation (the Grow Old Lemma
-// bounds it by 4). Zero if checking is disabled.
-func (t *Tree) GrowOldMax() int {
-	if t.proto.checks == nil {
-		return 0
-	}
-	return t.proto.checks.growOldMax
-}
+// bounds it by 4).
+func (v view[Req, Rep]) GrowOldMax() int { return v.checks().growOldMax }
 
 // RetirePerOpMax returns the largest number of retirements of a single node
 // within one operation (the Retirement Lemma bounds it by 1).
-func (t *Tree) RetirePerOpMax() int {
-	if t.proto.checks == nil {
-		return 0
-	}
-	return t.proto.checks.retirePerOpMax
-}
+func (v view[Req, Rep]) RetirePerOpMax() int { return v.checks().retirePerOpMax }
 
 // LeafLoad returns the number of messages processor p sent or received in
 // its role as a leaf: its own requests and replies plus one notification
 // per retirement of its level-k parent. The Leaf Node Work Lemma bounds
 // this by a small constant.
-func (t *Tree) LeafLoad(p sim.ProcID) int64 { return t.proto.leafLoad[p] }
+func (v view[Req, Rep]) LeafLoad(p sim.ProcID) int64 { return v.pr.leafLoad[p] }
 
 // NodeInfo is a read-only snapshot of one inner node, exposed for the
 // structure visualizer (Figure 4) and the lemma tests.
@@ -256,10 +292,10 @@ type NodeInfo struct {
 }
 
 // Nodes returns snapshots of all inner nodes in level order.
-func (t *Tree) Nodes() []NodeInfo {
-	out := make([]NodeInfo, len(t.proto.nodes))
-	for i := range t.proto.nodes {
-		nd := &t.proto.nodes[i]
+func (v view[Req, Rep]) Nodes() []NodeInfo {
+	out := make([]NodeInfo, len(v.pr.nodes))
+	for i := range v.pr.nodes {
+		nd := &v.pr.nodes[i]
 		out[i] = NodeInfo{
 			Level:     nd.level,
 			Pos:       nd.pos,
@@ -277,117 +313,12 @@ func (t *Tree) Nodes() []NodeInfo {
 // during the run so far (used by the Leaf Node Work Lemma test: processors
 // that never hosted an inner node must have load exactly 2 after the
 // canonical workload).
-func (t *Tree) HostedInner(p sim.ProcID) bool {
-	for i := range t.proto.nodes {
-		nd := &t.proto.nodes[i]
+func (v view[Req, Rep]) HostedInner(p sim.ProcID) bool {
+	for i := range v.pr.nodes {
+		nd := &v.pr.nodes[i]
 		if p >= nd.poolStart && int(p-nd.poolStart) <= nd.retired {
 			return true
 		}
 	}
 	return false
-}
-
-// Counter is the paper's communication-tree distributed counter: the Tree
-// serving a counter as its root state.
-type Counter struct {
-	*Tree
-}
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
-
-// New creates the counter for the tree of arity k over exactly n = k^(k+1)
-// processors.
-func New(k int, opts ...Option) *Counter {
-	return &Counter{Tree: NewTree(k, &counterState{}, opts...)}
-}
-
-// NewForSize creates the counter for at least n processors, rounding n up
-// to the next admissible size k·k^k as the paper prescribes. The network
-// size is Counter.N(), which may exceed the request.
-func NewForSize(n int, opts ...Option) *Counter {
-	return New(KForSize(n), opts...)
-}
-
-// NewMachine returns the paper's counter as a backend-independent protocol
-// descriptor for at least n processors (the size rounds up to k^(k+1);
-// lemma instrumentation stays off — its windows assume the sequential
-// model).
-func NewMachine(n int) counter.Machine {
-	k := KForSize(n)
-	return newProto(k, 4*k, &counterState{}, false).Machine()
-}
-
-// Machine implements counter.Describer for a tree serving a counter (the
-// root state NewMachine installs). Serial: retirement rewrites a node's
-// current processor and the forwarding table that every receiver's
-// ensureRole consults, so the rt backend must serialize all protocol
-// callbacks rather than run receivers concurrently. The root applies
-// operations in arrival order and replies directly to initiators, so
-// values respect real-time order under every schedule (experiment E13).
-func (pr *proto) Machine() counter.Machine {
-	return counter.Machine{
-		Name:  "ctree",
-		N:     pr.g.n,
-		Proto: pr,
-		Initiate: func(nw sim.Transport, p sim.ProcID) {
-			pr.initiateReq(nw, p, nil)
-		},
-		Value: func(id sim.OpID) (int, bool) {
-			reply, ok := pr.ops.Take(id)
-			if !ok {
-				return 0, false
-			}
-			return reply.(int), true
-		},
-		Guarantee: counter.Exact(counter.Linearizable),
-		Serial:    true,
-	}
-}
-
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return "ctree" }
-
-// Value returns the root's current counter value (= operations completed).
-func (c *Counter) Value() int { return c.proto.root.(*counterState).val }
-
-// Inc implements counter.Counter.
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	reply, err := c.Do(p, nil)
-	if err != nil {
-		return 0, err
-	}
-	return reply.(int), nil
-}
-
-// Start implements counter.Async, shadowing the embedded Tree.Start with
-// the counter-shaped signature (the request of an inc is nil). Like
-// Tree.Start it requires a tree built WithoutChecks.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	return c.Tree.Start(at, p, nil)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) {
-	reply, ok := c.TakeReply(id)
-	if !ok {
-		return 0, false
-	}
-	return reply.(int), true
-}
-
-// Guarantee implements counter.Valued: the root applies operations in
-// arrival order and replies directly to initiators, so values respect
-// real-time order under every schedule (experiment E13).
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Linearizable) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	tr, err := c.CloneTree()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{Tree: tr}, nil
 }

@@ -20,14 +20,14 @@ const leafTarget = -1
 type (
 	// incPayload is "inc from p" (or, generically, "op from p"): forwarded
 	// leaf -> ... -> root. Req is the operation applied at the root; the
-	// paper's counter sends nil (inc needs no argument).
-	incPayload struct {
+	// paper's counter sends inc{} (inc needs no argument).
+	incPayload[Req sim.BitSized] struct {
 		Target int
 		Origin sim.ProcID
-		Req    any
+		Req    Req
 	}
 	// valuePayload is the root's answer to the initiator.
-	valuePayload struct{ Reply any }
+	valuePayload[Rep sim.BitSized] struct{ Reply Rep }
 	// handoffJobPayload tells the successor it now works for Node. For
 	// robustness it carries the full neighbor table; the separate
 	// handoffParentPayload / handoffChildPayload messages reproduce the
@@ -58,17 +58,17 @@ type (
 	}
 )
 
-func (incPayload) Kind() string           { return "inc-from" }
-func (valuePayload) Kind() string         { return "value" }
+func (incPayload[Req]) Kind() string      { return "inc-from" }
+func (valuePayload[Rep]) Kind() string    { return "value" }
 func (handoffJobPayload) Kind() string    { return "handoff-job" }
 func (handoffParentPayload) Kind() string { return "handoff-parent" }
 func (handoffChildPayload) Kind() string  { return "handoff-child" }
 func (newIDPayload) Kind() string         { return "new-id" }
 
 // arenas holds one sending processor's payload arenas.
-type arenas struct {
-	inc           counter.Arena[incPayload]
-	value         counter.Arena[valuePayload]
+type arenas[Req, Rep sim.BitSized] struct {
+	inc           counter.Arena[incPayload[Req]]
+	value         counter.Arena[valuePayload[Rep]]
 	handoffJob    counter.Arena[handoffJobPayload]
 	handoffParent counter.Arena[handoffParentPayload]
 	handoffChild  counter.Arena[handoffChildPayload]
@@ -96,11 +96,12 @@ type fwdKey struct {
 	node int
 }
 
-// proto is the communication-tree protocol, generic over the root state.
-type proto struct {
+// proto is the communication-tree protocol, generic over the root state's
+// request and reply types.
+type proto[Req, Rep sim.BitSized] struct {
 	g         geometry
 	retireAge int // age threshold; 0 disables retirement (ablation)
-	root      RootState
+	root      RootState[Req, Rep]
 	nodes     []node
 	// leafParent[l] is leaf l's knowledge of its parent's current processor.
 	leafParent []sim.ProcID
@@ -114,21 +115,16 @@ type proto struct {
 	// successor forwarding for messages addressed via stale neighbor tables.
 	fwd map[fwdKey]sim.ProcID
 
-	// curReq is the request of the operation being initiated (sequential
-	// model: at most one in flight).
-	curReq any
 	// ops tracks the in-flight operation per initiating leaf and records
 	// each operation's delivered reply — shared with every other counter
 	// implementation via counter.Ops.
-	ops *counter.Ops[struct{}, any]
+	ops *counter.Ops[struct{}, Rep]
 	// mem holds each processor's payload arenas.
-	mem counter.PerProc[arenas]
+	mem counter.PerProc[arenas[Req, Rep]]
 
 	stats  Stats
 	checks *checker // nil when invariant checking is off
 }
-
-var _ counter.Describer = (*proto)(nil)
 
 // Stats aggregates protocol-level counters exposed for the experiments and
 // the lemma tests.
@@ -145,17 +141,17 @@ type Stats struct {
 	PoolExhausted int64
 }
 
-func newProto(k, retireAge int, state RootState, checks bool) *proto {
+func newProto[Req, Rep sim.BitSized](k, retireAge int, state RootState[Req, Rep], checks bool) *proto[Req, Rep] {
 	g := newGeometry(k)
-	pr := &proto{
+	pr := &proto[Req, Rep]{
 		g:          g,
 		retireAge:  retireAge,
 		root:       state,
 		nodes:      make([]node, g.nodeCount()),
 		leafParent: make([]sim.ProcID, g.n+1),
 		leafLoad:   make([]int64, g.n+1),
-		ops:        counter.NewOps[struct{}, any](),
-		mem:        counter.NewPerProc[arenas](g.n),
+		ops:        counter.NewOps[struct{}, Rep](),
+		mem:        counter.NewPerProc[arenas[Req, Rep]](g.n),
 		fwd:        make(map[fwdKey]sim.ProcID),
 	}
 	for i := 0; i <= k; i++ {
@@ -198,30 +194,40 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 }
 
 // initiate is the operation start: leaf p sends "op from p" to its parent.
-func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
-	pr.initiateReq(nw, p, pr.curReq)
-}
-
-func (pr *proto) initiateReq(nw sim.Transport, p sim.ProcID, req any) {
+// A checked protocol refuses to start while messages of an earlier
+// operation are still in flight (see checker.beginOp).
+func (pr *proto[Req, Rep]) initiate(nw sim.Transport, p sim.ProcID, req Req) {
+	if pr.checks != nil {
+		pr.checks.beginOp(p)
+	}
 	pr.ops.Begin(nw, p)
 	pr.stats.Ops++
-	if pr.checks != nil {
-		pr.checks.beginOp()
-	}
 	target := pr.g.leafParentNode(p)
 	pr.leafLoad[p]++
-	nw.Send(pr.leafParent[p], pr.mem.Of(p).inc.New(incPayload{Target: target, Origin: p, Req: req}))
+	pr.send(nw, pr.leafParent[p], pr.mem.Of(p).inc.New(incPayload[Req]{Target: target, Origin: p, Req: req}))
+}
+
+// send transmits one protocol message; a checked protocol counts it in
+// flight until its delivery.
+func (pr *proto[Req, Rep]) send(nw sim.Transport, to sim.ProcID, pl sim.Payload) {
+	if pr.checks != nil {
+		pr.checks.inFlight++
+	}
+	nw.Send(to, pl)
 }
 
 // Deliver implements sim.Protocol.
-func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
+func (pr *proto[Req, Rep]) Deliver(nw sim.Transport, msg sim.Message) {
+	if pr.checks != nil {
+		pr.checks.inFlight--
+	}
 	switch pl := msg.Payload.(type) {
-	case *incPayload:
+	case *incPayload[Req]:
 		if !pr.ensureRole(nw, msg.To, pl.Target, pl) {
 			return
 		}
 		pr.handleInc(nw, pl)
-	case *valuePayload:
+	case *valuePayload[Rep]:
 		pr.leafLoad[msg.To]++
 		pr.ops.Finish(nw, msg.To, pl.Reply)
 	case *newIDPayload:
@@ -257,7 +263,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 // target node; if it retired from that role, the message is forwarded to the
 // successor (one extra message per stale hop — the paper's constant-overhead
 // handshake) and false is returned.
-func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl sim.Payload) bool {
+func (pr *proto[Req, Rep]) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl sim.Payload) bool {
 	nd := &pr.nodes[target]
 	if nd.cur == proc {
 		return true
@@ -268,7 +274,7 @@ func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl si
 			proc, target, nd.cur))
 	}
 	pr.stats.Forwarded++
-	nw.Send(succ, pl)
+	pr.send(nw, succ, pl)
 	return false
 }
 
@@ -277,14 +283,14 @@ func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl si
 // to its parent. Either way the node's age grows by two (one receive, one
 // send) and the node retires if it has grown old. It runs at the node's
 // current processor (ensureRole), which therefore sends.
-func (pr *proto) handleInc(nw sim.Transport, pl *incPayload) {
+func (pr *proto[Req, Rep]) handleInc(nw sim.Transport, pl *incPayload[Req]) {
 	nd := &pr.nodes[pl.Target]
 	mem := pr.mem.Of(nd.cur)
 	if nd.level == 0 {
-		nw.Send(pl.Origin, mem.value.New(valuePayload{Reply: pr.root.Apply(pl.Req)}))
+		pr.send(nw, pl.Origin, mem.value.New(valuePayload[Rep]{Reply: pr.root.Apply(pl.Req)}))
 	} else {
 		parent := pr.g.parent(nd.level, nd.pos)
-		nw.Send(nd.parentProc, mem.inc.New(incPayload{Target: parent, Origin: pl.Origin, Req: pl.Req}))
+		pr.send(nw, nd.parentProc, mem.inc.New(incPayload[Req]{Target: parent, Origin: pl.Origin, Req: pl.Req}))
 	}
 	nd.age += 2
 	if pr.checks != nil {
@@ -297,7 +303,7 @@ func (pr *proto) handleInc(nw sim.Transport, pl *incPayload) {
 // retirement; receiving the notification ages the node and may cascade its
 // own retirement (paper: "It may of course happen that this increment
 // triggers the retirement of parent and children nodes").
-func (pr *proto) handleNewID(nw sim.Transport, pl *newIDPayload) {
+func (pr *proto[Req, Rep]) handleNewID(nw sim.Transport, pl *newIDPayload) {
 	nd := &pr.nodes[pl.Target]
 	switch {
 	case nd.level > 0 && pr.g.parent(nd.level, nd.pos) == pl.Changed:
@@ -314,7 +320,7 @@ func (pr *proto) handleNewID(nw sim.Transport, pl *newIDPayload) {
 }
 
 // childIndex finds which child slot of parent refers to node changed.
-func (pr *proto) childIndex(parent, changed int) int {
+func (pr *proto[Req, Rep]) childIndex(parent, changed int) int {
 	nd := &pr.nodes[parent]
 	cLevel, cPos := pr.g.levelPos(changed)
 	if cLevel != nd.level+1 || cPos/pr.g.k != nd.pos {
@@ -326,7 +332,7 @@ func (pr *proto) childIndex(parent, changed int) int {
 // maybeRetire retires the node if its age reached the threshold. "After
 // incrementing its age value a node decides locally whether it should
 // retire."
-func (pr *proto) maybeRetire(nw sim.Transport, id int) {
+func (pr *proto[Req, Rep]) maybeRetire(nw sim.Transport, id int) {
 	if pr.retireAge <= 0 {
 		return
 	}
@@ -353,7 +359,7 @@ func (pr *proto) maybeRetire(nw sim.Transport, id int) {
 // it then sends k+2 final messages [to the successor] ... the other k+1
 // messages inform the node's parent and children about id_new." It runs at
 // the retiring node's current processor, which sends every message.
-func (pr *proto) retire(nw sim.Transport, id int) {
+func (pr *proto[Req, Rep]) retire(nw sim.Transport, id int) {
 	nd := &pr.nodes[id]
 	old := nd.cur
 	succ := old + 1
@@ -367,19 +373,19 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 	// is replaced by the state-carrying message ("It additionally informs
 	// the new processor of the counter value val and it saves the message
 	// that would inform the parent").
-	nw.Send(succ, mem.handoffJob.New(handoffJobPayload{
+	pr.send(nw, succ, mem.handoffJob.New(handoffJobPayload{
 		Node:       id,
 		Retirement: nd.retired + 1,
 		ParentProc: nd.parentProc,
 	}))
 	if nd.level > 0 {
-		nw.Send(succ, mem.handoffParent.New(handoffParentPayload{Node: id, ParentProc: nd.parentProc}))
+		pr.send(nw, succ, mem.handoffParent.New(handoffParentPayload{Node: id, ParentProc: nd.parentProc}))
 	} else {
 		// Root: the state-carrying message keeps the k+2 count symmetric.
-		nw.Send(succ, mem.handoffJob.New(handoffJobPayload{Node: id, Retirement: nd.retired + 1}))
+		pr.send(nw, succ, mem.handoffJob.New(handoffJobPayload{Node: id, Retirement: nd.retired + 1}))
 	}
 	for c := 0; c < pr.g.k; c++ {
-		nw.Send(succ, mem.handoffChild.New(handoffChildPayload{Node: id, Idx: c, ChildProc: nd.childProc[c]}))
+		pr.send(nw, succ, mem.handoffChild.New(handoffChildPayload{Node: id, Idx: c, ChildProc: nd.childProc[c]}))
 	}
 
 	// State transfer: the node's current processor becomes the successor.
@@ -392,7 +398,7 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 
 	// k+1 notifications: parent (unless root) and children learn id_new.
 	if nd.level > 0 {
-		nw.Send(nd.parentProc, mem.newID.New(newIDPayload{
+		pr.send(nw, nd.parentProc, mem.newID.New(newIDPayload{
 			Target:  pr.g.parent(nd.level, nd.pos),
 			Changed: id,
 			NewProc: succ,
@@ -400,13 +406,13 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 	}
 	for c := 0; c < pr.g.k; c++ {
 		if nd.level < pr.g.k {
-			nw.Send(nd.childProc[c], mem.newID.New(newIDPayload{
+			pr.send(nw, nd.childProc[c], mem.newID.New(newIDPayload{
 				Target:  pr.g.childNode(nd.level, nd.pos, c),
 				Changed: id,
 				NewProc: succ,
 			}))
 		} else {
-			nw.Send(nd.childProc[c], mem.newID.New(newIDPayload{
+			pr.send(nw, nd.childProc[c], mem.newID.New(newIDPayload{
 				Target:  leafTarget,
 				Changed: id,
 				NewProc: succ,
@@ -416,7 +422,10 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 }
 
 // CloneProtocol implements sim.CloneableProtocol.
-func (pr *proto) CloneProtocol() sim.Protocol {
+func (pr *proto[Req, Rep]) CloneProtocol() sim.Protocol { return pr.clone() }
+
+// clone returns an independent deep copy of the protocol state.
+func (pr *proto[Req, Rep]) clone() *proto[Req, Rep] {
 	cp := *pr
 	cp.root = pr.root.CloneState()
 	cp.nodes = make([]node, len(pr.nodes))
@@ -427,7 +436,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	cp.leafParent = append([]sim.ProcID(nil), pr.leafParent...)
 	cp.leafLoad = append([]int64(nil), pr.leafLoad...)
 	cp.ops = pr.ops.Clone(nil)
-	cp.mem = counter.NewPerProc[arenas](pr.g.n)
+	cp.mem = counter.NewPerProc[arenas[Req, Rep]](pr.g.n)
 	cp.fwd = make(map[fwdKey]sim.ProcID, len(pr.fwd))
 	for k, v := range pr.fwd {
 		cp.fwd[k] = v

@@ -135,16 +135,16 @@ func TestQuickCloneDivergence(t *testing.T) {
 func TestQuickMixedReqsOnTree(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20}
 	if err := quick.Check(func(seed uint64) bool {
-		tr := NewTree(2, &counterState{})
+		tr := NewTree[junk, count](2, &junkCounter{})
 		r := rng.New(seed)
 		// Canonical workload (a permutation — the lemmas' precondition)
 		// with junk requests attached.
 		for i, leaf := range r.Perm(tr.N()) {
-			reply, err := tr.Do(sim.ProcID(leaf+1), r.Intn(100)) // junk request, ignored
+			reply, err := tr.Do(sim.ProcID(leaf+1), junk(r.Intn(100))) // junk request, ignored
 			if err != nil {
 				return false
 			}
-			if reply.(int) != i {
+			if int(reply) != i {
 				return false
 			}
 		}
@@ -153,6 +153,21 @@ func TestQuickMixedReqsOnTree(t *testing.T) {
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// junk is a request that carries an arbitrary payload.
+type junk int
+
+func (junk) Bits() int { return 7 }
+
+// junkCounter is the counter, served through requests it ignores.
+type junkCounter struct{ counterState }
+
+func (s *junkCounter) Apply(junk) count { return s.counterState.Apply(inc{}) }
+
+func (s *junkCounter) CloneState() RootState[junk, count] {
+	cp := *s
+	return &cp
 }
 
 // TestRepeatedInitiatorConcentratesLoad documents why the paper restricts

@@ -12,37 +12,14 @@ import "distcount/internal/sim"
 // tagBits distinguishes the protocol's message kinds.
 const tagBits = 3
 
-// valueBits sizes a request/reply value: the counter's replies are ints,
-// the extension data types use bools and small structs that implement
-// sim.BitSized themselves.
-func valueBits(v any) int {
-	switch val := v.(type) {
-	case nil:
-		return 0
-	case bool:
-		return 1
-	case int:
-		if val < 0 {
-			val = -val
-		}
-		return sim.BitsFor(val)
-	case sim.BitSized:
-		return val.Bits()
-	default:
-		// Unknown payload types are charged a machine word; extension
-		// states that care implement sim.BitSized.
-		return 64
-	}
+// Bits implements sim.BitSized.
+func (p incPayload[Req]) Bits() int {
+	return tagBits + sim.BitsFor(p.Target) + sim.BitsFor(int(p.Origin)) + p.Req.Bits()
 }
 
 // Bits implements sim.BitSized.
-func (p incPayload) Bits() int {
-	return tagBits + sim.BitsFor(p.Target) + sim.BitsFor(int(p.Origin)) + valueBits(p.Req)
-}
-
-// Bits implements sim.BitSized.
-func (p valuePayload) Bits() int {
-	return tagBits + valueBits(p.Reply)
+func (p valuePayload[Rep]) Bits() int {
+	return tagBits + p.Reply.Bits()
 }
 
 // Bits implements sim.BitSized.
@@ -70,8 +47,8 @@ func (p newIDPayload) Bits() int {
 }
 
 var (
-	_ sim.BitSized = incPayload{}
-	_ sim.BitSized = valuePayload{}
+	_ sim.BitSized = incPayload[inc]{}
+	_ sim.BitSized = valuePayload[count]{}
 	_ sim.BitSized = handoffJobPayload{}
 	_ sim.BitSized = handoffParentPayload{}
 	_ sim.BitSized = handoffChildPayload{}

@@ -78,26 +78,16 @@ func TestBitsForPanicsOnNegative(t *testing.T) {
 }
 
 func TestValueBits(t *testing.T) {
-	if got := valueBits(nil); got != 0 {
-		t.Errorf("nil = %d", got)
+	if got := (inc{}).Bits(); got != 0 {
+		t.Errorf("inc = %d", got)
 	}
-	if got := valueBits(true); got != 1 {
-		t.Errorf("bool = %d", got)
+	if got := count(7).Bits(); got != 3 {
+		t.Errorf("count 7 = %d", got)
 	}
-	if got := valueBits(7); got != 3 {
-		t.Errorf("int 7 = %d", got)
+	if got := (incPayload[inc]{Target: 1, Origin: 1}).Bits(); got != tagBits+2 {
+		t.Errorf("inc payload = %d, want %d", got, tagBits+2)
 	}
-	if got := valueBits(-7); got != 3 {
-		t.Errorf("int -7 = %d", got)
-	}
-	if got := valueBits("str"); got != 64 {
-		t.Errorf("default = %d", got)
-	}
-	if got := valueBits(sizedValue{}); got != 5 {
-		t.Errorf("BitSized = %d", got)
+	if got := (valuePayload[count]{Reply: 7}).Bits(); got != tagBits+3 {
+		t.Errorf("value payload = %d, want %d", got, tagBits+3)
 	}
 }
-
-type sizedValue struct{}
-
-func (sizedValue) Bits() int { return 5 }

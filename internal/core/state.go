@@ -1,5 +1,7 @@
 package core
 
+import "distcount/internal/sim"
+
 // The paper notes that its Hot Spot Lemma — and with it the whole lower
 // bound — applies to "the family of all distributed data structures in
 // which an operation depends on the operation that immediately precedes
@@ -13,33 +15,46 @@ package core
 // package), the flip-bit and the priority queue (internal/ext/...) are all
 // instances.
 
-// RootState is the sequential object the tree serves. Apply is invoked in
-// the root's delivery context, once per operation, in operation order.
-// Requests and replies must be immutable values (they travel in message
-// payloads).
-type RootState interface {
+// RootState is the sequential object the tree serves, typed by its request
+// Req and reply Rep. Apply is invoked in the root's delivery context, once
+// per operation, in operation order. Requests and replies travel in
+// message payloads, so they must be immutable values, and they report
+// their own size (sim.BitSized) for the O(log n)-bit message accounting.
+type RootState[Req, Rep sim.BitSized] interface {
 	// Apply executes one operation against the state and returns the reply
 	// sent back to the initiator.
-	Apply(req any) any
+	Apply(req Req) Rep
 	// CloneState returns an independent deep copy (for Network.Clone).
-	CloneState() RootState
+	CloneState() RootState[Req, Rep]
 }
 
-// counterState is the paper's counter: Apply ignores the request, returns
-// the current value and increments it.
+// inc is the counter's request: an inc needs no argument and costs no bits.
+type inc struct{}
+
+// Bits implements sim.BitSized.
+func (inc) Bits() int { return 0 }
+
+// count is the counter's reply: the value before the increment.
+type count int
+
+// Bits implements sim.BitSized.
+func (v count) Bits() int { return sim.BitsFor(int(v)) }
+
+// counterState is the paper's counter: Apply returns the current value and
+// increments it.
 type counterState struct {
-	val int
+	val count
 }
 
-var _ RootState = (*counterState)(nil)
+var _ RootState[inc, count] = (*counterState)(nil)
 
-func (s *counterState) Apply(any) any {
+func (s *counterState) Apply(inc) count {
 	v := s.val
 	s.val++
 	return v
 }
 
-func (s *counterState) CloneState() RootState {
+func (s *counterState) CloneState() RootState[inc, count] {
 	cp := *s
 	return &cp
 }

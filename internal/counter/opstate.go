@@ -32,11 +32,9 @@ import (
 // without a value and verification reports it as missing — so the bug class
 // the old panic caught remains visible, just as data instead of a crash.
 //
-// Values are read either per operation with Take (the engine's verification
-// path and the shared sequential driver RunInc) or per initiator with Last
-// (the readout the concurrent experiments use). Take consumes the value so
-// long workload runs do not accumulate per-op state; the per-initiator slot
-// always keeps the most recent value.
+// Values are read per operation with Take (the engine's verification path
+// and the shared sequential driver RunInc). Take consumes the value so long
+// workload runs do not accumulate per-op state.
 //
 // The table is dense: initiator p owns slot p of a slice, a record created
 // at p's first Begin and reused by every later operation of p, so opening
@@ -54,7 +52,7 @@ type Ops[S, V any] struct {
 	// the table operations suffices.
 	mu sync.Mutex
 	// slots[p] is initiator p's record (nil until p's first Begin).
-	slots []*opSlot[S, V]
+	slots []*opSlot[S]
 	// values holds delivered values of completed operations until consumed.
 	values map[sim.OpID]V
 	// droppedStale counts Finish calls discarded because their operation
@@ -64,14 +62,12 @@ type Ops[S, V any] struct {
 }
 
 // opSlot is one initiator's record: its open operation's id and protocol
-// state, and the most recent value delivered to it.
-type opSlot[S, V any] struct {
+// state.
+type opSlot[S any] struct {
 	// op is the in-flight operation, 0 when the initiator is idle (ids
 	// start at 1). Finish asserts it completes in its own delivery context.
-	op     sim.OpID
-	st     S
-	last   V
-	lastOK bool
+	op sim.OpID
+	st S
 }
 
 // NewOps creates an empty operation table.
@@ -81,7 +77,7 @@ func NewOps[S, V any]() *Ops[S, V] {
 
 // slot returns initiator p's record, nil when p never began an operation.
 // The caller holds mu.
-func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S, V] {
+func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S] {
 	if int(p) < len(o.slots) {
 		return o.slots[p]
 	}
@@ -90,7 +86,7 @@ func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S, V] {
 
 // inFlight returns p's record when p has an operation open, else nil. The
 // caller holds mu.
-func (o *Ops[S, V]) inFlight(p sim.ProcID) *opSlot[S, V] {
+func (o *Ops[S, V]) inFlight(p sim.ProcID) *opSlot[S] {
 	if e := o.slot(p); e != nil && e.op != 0 {
 		return e
 	}
@@ -114,16 +110,16 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 	e := o.slot(p)
 	if e == nil {
 		if int(p) >= len(o.slots) {
-			o.slots = append(o.slots, make([]*opSlot[S, V], int(p)+1-len(o.slots))...)
+			o.slots = append(o.slots, make([]*opSlot[S], int(p)+1-len(o.slots))...)
 		}
-		e = new(opSlot[S, V])
+		e = new(opSlot[S])
 		o.slots[p] = e
 	}
 	if e.op != 0 {
 		panic(fmt.Sprintf("counter: initiator %v already has operation %d in flight (starting %d)", p, e.op, id))
 	}
 	var zero S
-	e.op, e.st, e.lastOK = id, zero, false
+	e.op, e.st = id, zero
 	return &e.st
 }
 
@@ -148,8 +144,8 @@ func (o *Ops[S, V]) InFlight(p sim.ProcID) bool {
 }
 
 // Finish completes initiator p's operation with the delivered value v,
-// recording it under the operation's id and as p's most recent value, and
-// frees p for its next operation. It must run in the completing operation's
+// recording it under the operation's id, and frees p for its next
+// operation. It must run in the completing operation's
 // own delivery context: when p has no operation in flight, or the in-flight
 // operation differs from the current delivery context, the call is a stale
 // completion — a duplicated or crash-deferred reply outliving its
@@ -165,7 +161,7 @@ func (o *Ops[S, V]) Finish(nw sim.Transport, p sim.ProcID, v V) bool {
 		return false
 	}
 	o.values[e.op] = v
-	e.op, e.last, e.lastOK = 0, v, true
+	e.op = 0
 	return true
 }
 
@@ -208,18 +204,6 @@ func (o *Ops[S, V]) Take(id sim.OpID) (V, bool) {
 	return v, ok
 }
 
-// Last returns the most recent value delivered to initiator p; ok is false
-// when none arrived since p's last Begin.
-func (o *Ops[S, V]) Last(p sim.ProcID) (V, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if e := o.slot(p); e != nil {
-		return e.last, e.lastOK
-	}
-	var zero V
-	return zero, false
-}
-
 // Clone returns an independent deep copy. deepState, when non-nil, deep-
 // copies one in-flight operation's protocol state (needed when S holds
 // slices or maps); nil keeps the shallow copy, sufficient for value-only
@@ -229,7 +213,7 @@ func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	cp := NewOps[S, V]()
-	cp.slots = make([]*opSlot[S, V], len(o.slots))
+	cp.slots = make([]*opSlot[S], len(o.slots))
 	for p, e := range o.slots {
 		if e == nil {
 			continue

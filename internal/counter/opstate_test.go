@@ -75,10 +75,6 @@ func TestOpsLifecycle(t *testing.T) {
 	if _, ok := pr.ops.Take(id2); ok {
 		t.Fatal("Take did not consume the value")
 	}
-	// Last keeps the most recent per-initiator value.
-	if lv, ok := pr.ops.Last(2); !ok || lv != v2 {
-		t.Fatalf("Last(2) = (%d,%v), want (%d,true)", lv, ok, v2)
-	}
 }
 
 func TestOpsBeginRejectsOverlap(t *testing.T) {
@@ -303,9 +299,6 @@ func TestOpsConcurrentInitiators(t *testing.T) {
 	}
 	wg.Wait()
 	for p := sim.ProcID(1); p <= procs; p++ {
-		if v, ok := ops.Last(p); !ok || v != int(opID(p, rounds-1)) {
-			t.Errorf("Last(%v) = %d, %v; want %d", p, v, ok, opID(p, rounds-1))
-		}
 		if ops.InFlight(p) {
 			t.Errorf("%v still in flight", p)
 		}

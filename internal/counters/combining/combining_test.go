@@ -52,8 +52,9 @@ func TestConcurrentCombining(t *testing.T) {
 	// merge, and every processor still gets a distinct value.
 	const n = 16
 	c := newSim(n, WithWindow(8))
+	ids := make([]sim.OpID, n+1)
 	for p := 1; p <= n; p++ {
-		c.Start(0, sim.ProcID(p))
+		ids[p] = c.Start(0, sim.ProcID(p))
 	}
 	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func TestConcurrentCombining(t *testing.T) {
 	}
 	seen := make([]bool, n)
 	for p := 1; p <= n; p++ {
-		v, ok := valueOf(c, sim.ProcID(p))
+		v, ok := c.OpValue(ids[p])
 		if !ok {
 			t.Fatalf("processor %d got no value", p)
 		}
@@ -101,18 +102,19 @@ func TestPipelinedBatches(t *testing.T) {
 	c := newSim(n, WithWindow(2))
 	// Wave 1 at t=0, wave 2 well after wave 1's windows closed but (at
 	// depth 4 with unit latency) before its responses returned.
+	ids := make([]sim.OpID, n+1)
 	for p := 1; p <= 8; p++ {
-		c.Start(0, sim.ProcID(p))
+		ids[p] = c.Start(0, sim.ProcID(p))
 	}
 	for p := 9; p <= n; p++ {
-		c.Start(5, sim.ProcID(p))
+		ids[p] = c.Start(5, sim.ProcID(p))
 	}
 	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
 	}
 	seen := make([]bool, n)
 	for p := 1; p <= n; p++ {
-		v, ok := valueOf(c, sim.ProcID(p))
+		v, ok := c.OpValue(ids[p])
 		if !ok {
 			t.Fatalf("processor %d got no value", p)
 		}
@@ -171,9 +173,4 @@ func TestName(t *testing.T) {
 
 func newSim(n int, opts ...Option) *counter.Sim {
 	return counter.NewSim(NewMachine(n, opts...))
-}
-
-// valueOf reads the value delivered to p's last operation.
-func valueOf(c *counter.Sim, p sim.ProcID) (int, bool) {
-	return c.Net().Protocol().(*proto).ops.Last(p)
 }

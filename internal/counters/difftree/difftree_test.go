@@ -55,8 +55,9 @@ func TestSequentialNeverDiffracts(t *testing.T) {
 func TestConcurrentDiffraction(t *testing.T) {
 	const n = 16
 	c := newSim(n, WithWidth(8), WithWindow(6))
+	ids := make([]sim.OpID, n+1)
 	for p := 1; p <= n; p++ {
-		c.Start(0, sim.ProcID(p))
+		ids[p] = c.Start(0, sim.ProcID(p))
 	}
 	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestConcurrentDiffraction(t *testing.T) {
 	}
 	seen := make([]bool, n)
 	for p := 1; p <= n; p++ {
-		v, ok := valueOf(c, sim.ProcID(p))
+		v, ok := c.OpValue(ids[p])
 		if !ok {
 			t.Fatalf("processor %d got no value", p)
 		}
@@ -101,13 +102,13 @@ func TestDiffractionRelievesRootToggle(t *testing.T) {
 // must not double-route A. Distinct values prove no duplication.
 func TestPrismTimerAfterDiffractionIsNoOp(t *testing.T) {
 	c := newSim(8, WithWidth(4), WithWindow(10))
-	c.Start(0, 1) // parks at the root at t=1, timer at t=11
-	c.Start(2, 2) // arrives t=3: diffracts the pair
+	op1 := c.Start(0, 1) // parks at the root at t=1, timer at t=11
+	op2 := c.Start(2, 2) // arrives t=3: diffracts the pair
 	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
 	}
-	v1, ok1 := valueOf(c, 1)
-	v2, ok2 := valueOf(c, 2)
+	v1, ok1 := c.OpValue(op1)
+	v2, ok2 := c.OpValue(op2)
 	if !ok1 || !ok2 {
 		t.Fatal("missing values")
 	}
@@ -217,16 +218,11 @@ func TestDiffractedOpCompletesAtValueDelivery(t *testing.T) {
 	if done[op2] != 4 {
 		t.Fatalf("partner op completed at t=%d, want 4", done[op2])
 	}
-	if _, ok := valueOf(c, 1); !ok {
+	if _, ok := c.OpValue(op1); !ok {
 		t.Fatal("op1 got no value")
 	}
 }
 
 func newSim(n int, opts ...Option) *counter.Sim {
 	return counter.NewSim(NewMachine(n, opts...))
-}
-
-// valueOf reads the value delivered to p's last operation.
-func valueOf(c *counter.Sim, p sim.ProcID) (int, bool) {
-	return c.Net().Protocol().(*proto).ops.Last(p)
 }

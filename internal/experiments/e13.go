@@ -54,11 +54,11 @@ func E13(cfg Config) (string, error) {
 		n = 16
 		seeds = 6
 	}
-	treeViol, treeQuiesce, err := e13TreeSweep(n, seeds)
+	treeViol, treeQuiesce, err := e13Sweep(func() counter.Machine { return core.NewMachine(n) }, n, seeds)
 	if err != nil {
 		return "", err
 	}
-	cnetViol, cnetQuiesce, err := e13CNetSweep(n, seeds)
+	cnetViol, cnetQuiesce, err := e13Sweep(func() counter.Machine { return cnet.NewMachine(n, cnet.WithWidth(8)) }, n, seeds)
 	if err != nil {
 		return "", err
 	}
@@ -80,136 +80,82 @@ func E13(cfg Config) (string, error) {
 
 // E13ScriptedCNet runs the deterministic HSW schedule against a width-2
 // counting network over 5 processors and reports whether linearizability
-// was violated, along with the values of operations A..E.
+// was violated, along with the values of operations A..E. The exit
+// messages of the 1st and 3rd tokens (A and C) stall, so their wire-counter
+// reads happen long after E completes.
 func E13ScriptedCNet() (violated bool, values []int, err error) {
-	// Stall the exit messages of the 1st and 3rd tokens (A and C) so their
-	// wire-counter reads happen long after E completes.
-	lat := sim.NewStallKindLatency(100, map[string][]int{"exit": {0, 2}})
-	c := counter.NewSim(cnet.NewMachine(5, cnet.WithWidth(2)), sim.WithLatency(lat))
-	ops, procs := scheduleABCDE(c.Start)
-	if err := c.Net().Run(); err != nil {
-		return false, nil, err
-	}
-	values = make([]int, len(procs))
-	for i, p := range procs {
-		v, ok := c.OpValue(ops[i])
-		if !ok {
-			return false, nil, fmt.Errorf("cnet scripted: processor %d got no value", p)
-		}
-		values[i] = v
-	}
-	tv, err := verify.CollectTimedValues(c.Net(), ops, values)
-	if err != nil {
-		return false, nil, err
-	}
-	if err := verify.QuiescentConsistent(tv); err != nil {
-		return false, values, fmt.Errorf("cnet scripted: quiescent consistency broken: %w", err)
-	}
-	return verify.Linearizable(tv) != nil, values, nil
+	return e13Scripted(cnet.NewMachine(5, cnet.WithWidth(2)), map[string][]int{"exit": {0, 2}})
 }
 
 // E13ScriptedTree runs the analogous stalled schedule against the tree
 // counter (stalling its value replies instead — the only message kind whose
 // delay could plausibly reorder completions).
 func E13ScriptedTree() (violated bool, values []int, err error) {
-	lat := sim.NewStallKindLatency(100, map[string][]int{"value": {0, 2}})
-	tree := core.NewTree(2, &treeCounterState{}, core.WithoutChecks(),
-		core.WithSimOptions(sim.WithLatency(lat)))
-	ops, procs := scheduleABCDE(func(at int64, p sim.ProcID) sim.OpID { return tree.Start(at, p, nil) })
-	if err := tree.Net().Run(); err != nil {
-		return false, nil, err
-	}
-	values = make([]int, len(procs))
-	for i, p := range procs {
-		reply, ok := tree.ReplyOf(p)
-		if !ok {
-			return false, nil, fmt.Errorf("tree scripted: processor %d got no value", p)
-		}
-		values[i] = reply.(int)
-	}
-	tv, err := verify.CollectTimedValues(tree.Net(), ops, values)
+	return e13Scripted(core.NewMachine(5), map[string][]int{"value": {0, 2}})
+}
+
+// e13Scripted runs scheduleABCDE on m with the given message kinds stalled
+// and reports whether linearizability was violated, along with the values
+// of operations A..E. The history must stay quiescently consistent.
+func e13Scripted(m counter.Machine, stalls map[string][]int) (violated bool, values []int, err error) {
+	c := counter.NewSim(m, sim.WithLatency(sim.NewStallKindLatency(100, stalls)))
+	ops := scheduleABCDE(c.Start)
+	tv, err := e13Run(c, ops)
 	if err != nil {
-		return false, nil, err
+		return false, nil, fmt.Errorf("%s scripted: %w", m.Name, err)
+	}
+	values = make([]int, len(tv))
+	for i := range tv {
+		values[i] = tv[i].Value
+	}
+	if err := verify.QuiescentConsistent(tv); err != nil {
+		return false, values, fmt.Errorf("%s scripted: quiescent consistency broken: %w", m.Name, err)
 	}
 	return verify.Linearizable(tv) != nil, values, nil
 }
 
+// e13Run runs c to quiescence and collects the timed values of ops.
+func e13Run(c *counter.Sim, ops []sim.OpID) ([]verify.TimedValue, error) {
+	if err := c.Net().Run(); err != nil {
+		return nil, err
+	}
+	values := make([]int, len(ops))
+	for i, id := range ops {
+		v, ok := c.OpValue(id)
+		if !ok {
+			return nil, fmt.Errorf("operation %d got no value", id)
+		}
+		values[i] = v
+	}
+	return verify.CollectTimedValues(c.Net(), ops, values)
+}
+
 // scheduleABCDE starts five operations: A..D in quick succession, E well
 // after D completed.
-func scheduleABCDE(start func(at int64, p sim.ProcID) sim.OpID) ([]sim.OpID, []sim.ProcID) {
+func scheduleABCDE(start func(at int64, p sim.ProcID) sim.OpID) []sim.OpID {
 	starts := []int64{0, 4, 8, 12, 30}
 	ops := make([]sim.OpID, 0, len(starts))
-	procs := make([]sim.ProcID, 0, len(starts))
 	for i, at := range starts {
-		p := sim.ProcID(i + 1)
-		ops = append(ops, start(at, p))
-		procs = append(procs, p)
+		ops = append(ops, start(at, sim.ProcID(i+1)))
 	}
-	return ops, procs
+	return ops
 }
 
-// e13TreeSweep runs the randomized concurrent workload on the tree counter
-// across seeds and returns (linearizability violations, quiescent seeds).
-func e13TreeSweep(n, seeds int) (violations, quiescent int, err error) {
+// e13Sweep runs the randomized concurrent workload — n increments, one
+// every 3 ticks, under UniformLatency[1,9] — on a fresh counter from
+// newMachine per seed, and returns (linearizability violations, quiescent
+// seeds).
+func e13Sweep(newMachine func() counter.Machine, n, seeds int) (violations, quiescent int, err error) {
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		tree := core.NewTree(core.KForSize(n), &treeCounterState{}, core.WithoutChecks(),
-			core.WithSimOptions(sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 9})))
+		m := newMachine()
+		c := counter.NewSim(m, sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 9}))
 		ops := make([]sim.OpID, 0, n)
-		procs := make([]sim.ProcID, 0, n)
-		for p := 1; p <= n; p++ {
-			ops = append(ops, tree.Start(int64(p-1)*3, sim.ProcID(p), nil))
-			procs = append(procs, sim.ProcID(p))
-		}
-		if err := tree.Net().Run(); err != nil {
-			return 0, 0, err
-		}
-		values := make([]int, len(procs))
-		for i, p := range procs {
-			reply, ok := tree.ReplyOf(p)
-			if !ok {
-				return 0, 0, fmt.Errorf("tree: processor %d got no value (seed %d)", p, seed)
-			}
-			values[i] = reply.(int)
-		}
-		tv, err := verify.CollectTimedValues(tree.Net(), ops, values)
-		if err != nil {
-			return 0, 0, err
-		}
-		if verify.QuiescentConsistent(tv) == nil {
-			quiescent++
-		}
-		if verify.Linearizable(tv) != nil {
-			violations++
-		}
-	}
-	return violations, quiescent, nil
-}
-
-// e13CNetSweep is the counting-network counterpart.
-func e13CNetSweep(n, seeds int) (violations, quiescent int, err error) {
-	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		c := counter.NewSim(cnet.NewMachine(n, cnet.WithWidth(8)),
-			sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 9}))
-		ops := make([]sim.OpID, 0, n)
-		procs := make([]sim.ProcID, 0, n)
 		for p := 1; p <= n; p++ {
 			ops = append(ops, c.Start(int64(p-1)*3, sim.ProcID(p)))
-			procs = append(procs, sim.ProcID(p))
 		}
-		if err := c.Net().Run(); err != nil {
-			return 0, 0, err
-		}
-		values := make([]int, len(procs))
-		for i, p := range procs {
-			v, ok := c.OpValue(ops[i])
-			if !ok {
-				return 0, 0, fmt.Errorf("cnet: processor %d got no value (seed %d)", p, seed)
-			}
-			values[i] = v
-		}
-		tv, err := verify.CollectTimedValues(c.Net(), ops, values)
+		tv, err := e13Run(c, ops)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, fmt.Errorf("%s (seed %d): %w", m.Name, seed, err)
 		}
 		if verify.QuiescentConsistent(tv) == nil {
 			quiescent++
@@ -219,22 +165,4 @@ func e13CNetSweep(n, seeds int) (violations, quiescent int, err error) {
 		}
 	}
 	return violations, quiescent, nil
-}
-
-// treeCounterState duplicates the counter root state for the concurrent
-// experiments (core's counterState is unexported by design; replies are
-// ints).
-type treeCounterState struct {
-	val int
-}
-
-func (s *treeCounterState) Apply(any) any {
-	v := s.val
-	s.val++
-	return v
-}
-
-func (s *treeCounterState) CloneState() core.RootState {
-	cp := *s
-	return &cp
 }

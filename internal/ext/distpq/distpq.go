@@ -14,46 +14,61 @@ import (
 	"distcount/internal/sim"
 )
 
-// Request/reply payload values.
-type (
-	insertReq struct{ Pri int }
-	delMinReq struct{}
-	sizeReq   struct{}
-	ackReply  struct{}
-	minReply  struct {
-		Pri int
-		OK  bool
-	}
-	sizeReply struct{ Size int }
+// request is one queue operation: insert(pri), delete-min or size.
+type request struct {
+	kind opKind
+	pri  int // insert only
+}
+
+type opKind uint8
+
+const (
+	insert opKind = iota
+	delMin
+	size
 )
+
+// reply answers a request: the minimum for a delete-min (ok false when the
+// queue was empty), the size for a size request, nothing for an insert.
+type reply struct {
+	val int
+	ok  bool
+}
+
+// Bits implements sim.BitSized: requests and replies are charged one
+// machine word each.
+func (request) Bits() int { return 64 }
+
+// Bits implements sim.BitSized, like request.Bits.
+func (reply) Bits() int { return 64 }
 
 // pqState is the root state: a binary min-heap of priorities.
 type pqState struct {
 	heap []int
 }
 
-var _ core.RootState = (*pqState)(nil)
+var _ core.RootState[request, reply] = (*pqState)(nil)
 
 // Apply implements core.RootState.
-func (s *pqState) Apply(req any) any {
-	switch r := req.(type) {
-	case insertReq:
-		s.push(r.Pri)
-		return ackReply{}
-	case delMinReq:
+func (s *pqState) Apply(req request) reply {
+	switch req.kind {
+	case insert:
+		s.push(req.pri)
+		return reply{}
+	case delMin:
 		if len(s.heap) == 0 {
-			return minReply{}
+			return reply{}
 		}
-		return minReply{Pri: s.pop(), OK: true}
-	case sizeReq:
-		return sizeReply{Size: len(s.heap)}
+		return reply{val: s.pop(), ok: true}
+	case size:
+		return reply{val: len(s.heap)}
 	default:
-		panic(fmt.Sprintf("distpq: unexpected request %T", req))
+		panic(fmt.Sprintf("distpq: unexpected request kind %d", req.kind))
 	}
 }
 
 // CloneState implements core.RootState.
-func (s *pqState) CloneState() core.RootState {
+func (s *pqState) CloneState() core.RootState[request, reply] {
 	return &pqState{heap: append([]int(nil), s.heap...)}
 }
 
@@ -95,7 +110,7 @@ func (s *pqState) pop() int {
 
 // Queue is a distributed priority queue with O(k) bottleneck load.
 type Queue struct {
-	tree *core.Tree
+	tree *core.Tree[request, reply]
 }
 
 // New creates the queue over the communication tree of arity k.
@@ -109,40 +124,33 @@ func NewForSize(n int, opts ...core.Option) *Queue {
 }
 
 // Tree exposes the underlying communication tree.
-func (q *Queue) Tree() *core.Tree { return q.tree }
+func (q *Queue) Tree() *core.Tree[request, reply] { return q.tree }
 
 // N returns the number of processors.
 func (q *Queue) N() int { return q.tree.N() }
 
 // Insert adds a priority to the queue on behalf of processor p.
 func (q *Queue) Insert(p sim.ProcID, priority int) error {
-	_, err := q.tree.Do(p, insertReq{Pri: priority})
+	_, err := q.tree.Do(p, request{kind: insert, pri: priority})
 	return err
 }
 
 // DelMin removes and returns the smallest priority; ok is false when the
 // queue was empty.
 func (q *Queue) DelMin(p sim.ProcID) (priority int, ok bool, err error) {
-	reply, err := q.tree.Do(p, delMinReq{})
-	if err != nil {
-		return 0, false, err
-	}
-	m := reply.(minReply)
-	return m.Pri, m.OK, nil
+	r, err := q.tree.Do(p, request{kind: delMin})
+	return r.val, r.ok, err
 }
 
 // Size returns the number of queued priorities as observed by p.
 func (q *Queue) Size(p sim.ProcID) (int, error) {
-	reply, err := q.tree.Do(p, sizeReq{})
-	if err != nil {
-		return 0, err
-	}
-	return reply.(sizeReply).Size, nil
+	r, err := q.tree.Do(p, request{kind: size})
+	return r.val, err
 }
 
 // Clone returns an independent deep copy.
 func (q *Queue) Clone() (*Queue, error) {
-	tr, err := q.tree.CloneTree()
+	tr, err := q.tree.Clone()
 	if err != nil {
 		return nil, err
 	}

@@ -170,5 +170,5 @@ func TestUnexpectedRequestPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	s.Apply("bogus")
+	s.Apply(request{kind: 99})
 }

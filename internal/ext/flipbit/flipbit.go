@@ -19,44 +19,55 @@ import (
 	"distcount/internal/sim"
 )
 
-// Request/reply payload values.
-type (
-	flipReq  struct{}
-	readReq  struct{}
-	bitReply struct{ Val bool }
+// op is a request to the bit.
+type op uint8
+
+const (
+	flip op = iota // test-and-flip
+	read
 )
+
+// bit is the reply: the bit's value (before the flip, for a flip).
+type bit bool
+
+// Bits implements sim.BitSized: requests and replies are charged one
+// machine word each.
+func (op) Bits() int { return 64 }
+
+// Bits implements sim.BitSized, like op.Bits.
+func (bit) Bits() int { return 64 }
 
 // bitState is the root state: a single bit.
 type bitState struct {
-	val bool
+	val bit
 }
 
-var _ core.RootState = (*bitState)(nil)
+var _ core.RootState[op, bit] = (*bitState)(nil)
 
 // Apply implements core.RootState: flip returns the value before flipping
 // (test-and-flip); read returns the value unchanged.
-func (s *bitState) Apply(req any) any {
-	switch req.(type) {
-	case flipReq:
+func (s *bitState) Apply(o op) bit {
+	switch o {
+	case flip:
 		v := s.val
 		s.val = !s.val
-		return bitReply{Val: v}
-	case readReq:
-		return bitReply{Val: s.val}
+		return v
+	case read:
+		return s.val
 	default:
-		panic(fmt.Sprintf("flipbit: unexpected request %T", req))
+		panic(fmt.Sprintf("flipbit: unexpected request %d", o))
 	}
 }
 
 // CloneState implements core.RootState.
-func (s *bitState) CloneState() core.RootState {
+func (s *bitState) CloneState() core.RootState[op, bit] {
 	cp := *s
 	return &cp
 }
 
 // Bit is a distributed test-and-flip bit with O(k) bottleneck load.
 type Bit struct {
-	tree *core.Tree
+	tree *core.Tree[op, bit]
 }
 
 // New creates the bit over the communication tree of arity k
@@ -72,7 +83,7 @@ func NewForSize(n int, opts ...core.Option) *Bit {
 }
 
 // Tree exposes the underlying communication tree (loads, lemma checks).
-func (b *Bit) Tree() *core.Tree { return b.tree }
+func (b *Bit) Tree() *core.Tree[op, bit] { return b.tree }
 
 // N returns the number of processors.
 func (b *Bit) N() int { return b.tree.N() }
@@ -80,27 +91,21 @@ func (b *Bit) N() int { return b.tree.N() }
 // Flip performs a test-and-flip initiated by processor p: it returns the
 // bit's value before the flip.
 func (b *Bit) Flip(p sim.ProcID) (bool, error) {
-	reply, err := b.tree.Do(p, flipReq{})
-	if err != nil {
-		return false, err
-	}
-	return reply.(bitReply).Val, nil
+	v, err := b.tree.Do(p, flip)
+	return bool(v), err
 }
 
 // Read returns the bit's current value as observed by processor p. Reads
 // route through the tree like any operation: they depend on the preceding
 // operation, which is exactly why the lower bound covers them.
 func (b *Bit) Read(p sim.ProcID) (bool, error) {
-	reply, err := b.tree.Do(p, readReq{})
-	if err != nil {
-		return false, err
-	}
-	return reply.(bitReply).Val, nil
+	v, err := b.tree.Do(p, read)
+	return bool(v), err
 }
 
 // Clone returns an independent deep copy.
 func (b *Bit) Clone() (*Bit, error) {
-	tr, err := b.tree.CloneTree()
+	tr, err := b.tree.Clone()
 	if err != nil {
 		return nil, err
 	}

@@ -126,11 +126,11 @@ func TestUnexpectedRequestPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	s.Apply(42)
+	s.Apply(op(42))
 }
 
 func TestOptionsForwarded(t *testing.T) {
-	b := New(2, core.WithoutRetirement())
+	b := New(2, core.WithRetireAge(0))
 	if b.Tree().RetireAge() != 0 {
 		t.Fatal("option not forwarded to tree")
 	}
